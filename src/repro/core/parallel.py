@@ -407,7 +407,9 @@ class PartScheduler:
                 pool.submit(run_shard_file_task, str(path), kind, params)
                 for path, (_, params) in zip(paths, tasks)
             ]
-        except BrokenProcessPool as exc:
+        except (BrokenProcessPool, OSError) as exc:
+            # OSError: a worker spawned while the pool was breaking
+            # found the call queue already closed.
             self.discard_pool()
             raise self._error_cls(
                 f"{kind}: the worker pool broke before part tasks could "
@@ -493,9 +495,20 @@ class PartScheduler:
         worker dies (OOM kill, segfault); keeping it around would make
         every later run fail on submit even though the part files and
         traces are intact.
+
+        Every worker of the dropped pool is killed and reaped here.  A
+        worker spawned by a submit that raced the breakage escapes the
+        executor's own teardown: it blocks forever on the call-queue
+        lock the dead worker held, and the executor's manager thread,
+        which interpreter exit joins, waits on it forever.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        pool = self._pool
+        if pool is not None:
+            workers = list((pool._processes or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.kill()
+                worker.join()
             self._pool = None
         if self._pool_finalizer is not None:
             self._pool_finalizer.detach()

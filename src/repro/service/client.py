@@ -31,9 +31,11 @@ raises :class:`ServiceUnreachable`.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 from dataclasses import asdict
+from typing import Callable
 
 import numpy as np
 
@@ -80,6 +82,9 @@ class HttpRoundSink:
         per attempt, capped at ``max_backoff``).
     max_backoff:
         Upper bound on the per-attempt backoff wait, seconds.
+    sleep:
+        Called with each backoff wait, seconds; tests pass a recording
+        no-op so a retry loop costs no wall time.
     """
 
     def __init__(
@@ -90,12 +95,14 @@ class HttpRoundSink:
         retries: int = 5,
         retry_wait: float = 1.0,
         max_backoff: float = 30.0,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.url = url.rstrip("/")
         self.timeout = float(timeout)
         self.retries = int(retries)
         self.retry_wait = float(retry_wait)
         self.max_backoff = float(max_backoff)
+        self._sleep = sleep
         self.metadata = TraceMetadata()
         self._metadata_sent: dict | None = None
         self._pending: list[dict] = []
@@ -203,6 +210,7 @@ class HttpRoundSink:
                 retries=self.retries,
                 backoff=self.retry_wait,
                 max_backoff=self.max_backoff,
+                sleep=self._sleep,
             )
         except urllib.error.HTTPError as exc:
             raise ServiceRejectedRound(exc.code, self._error_detail(exc)) from None

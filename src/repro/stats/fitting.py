@@ -8,6 +8,12 @@ maximum likelihood alongside the pure power-law, pure exponential and
 lognormal alternatives, and compares them by AIC so experiments can
 assert "truncated power law beats pure exponential and pure power law"
 — the shape claim — without relying on visual inspection.
+
+scipy is imported inside the functions that use it.  This module sits
+on the import path of ``repro.core`` and so of every process-pool
+worker, where a module-level scipy import cost several hundred
+milliseconds of cold start that no pipeline task needs
+(``tests/unit/test_import_budget.py`` keeps it off).
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,8 @@ def fit_lognormal(sample: Sequence[float], xmin: float | None = None) -> FitResu
         )
         return float(-(dens.sum() - tail.size * np.log(norm)))
 
+    from scipy import optimize
+
     start = np.array([logs.mean(), max(logs.std(), 1e-3)])
     result = optimize.minimize(negloglik, start, method="Nelder-Mead")
     mu, sigma = float(result.x[0]), float(abs(result.x[1]))
@@ -168,6 +175,8 @@ def fit_lognormal(sample: Sequence[float], xmin: float | None = None) -> FitResu
 
 
 def _lognorm_cdf(x: np.ndarray | float, mu: float, sigma: float) -> np.ndarray | float:
+    from scipy import special
+
     return 0.5 * (1.0 + special.erf((np.log(x) - mu) / (sigma * np.sqrt(2.0))))
 
 
@@ -190,6 +199,8 @@ def fit_truncated_power_law(
         xmin = float(positive.min())
     if xmin <= 0:
         raise ValueError(f"xmin must be positive, got {xmin}")
+    from scipy import integrate, optimize
+
     tail = _tail(values, xmin)
     sum_log = float(np.log(tail).sum())
     sum_x = float(tail.sum())

@@ -10,6 +10,13 @@ process backend really spawns workers that memmap-load per-shard
 ``.rtrc`` files; nothing is mocked.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +34,7 @@ from tests.unit.core.test_sharded_equivalence import churn_trace
 BACKENDS = ("thread", "process")
 SHARD_COUNTS = (1, 2, 7)
 RADII = (6.0, 15.0, 80.0)
+REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +247,56 @@ class TestFailurePropagation:
                 sharded.sessions()
             assert sharded._scheduler.pool is None
             assert sharded.sessions() == extract_sessions(trace)
+
+    def test_discarded_broken_pool_leaves_no_worker_and_exit_is_prompt(self):
+        # The worker-death scenario above, repeated in a fresh
+        # interpreter.  A worker spawned by a submit that races the
+        # breakage used to survive the executor's teardown, so the
+        # interpreter printed its last line and then hung at exit
+        # joining the executor's manager thread.  The discarded pool
+        # must leave no live worker, and the process must exit on its
+        # own well inside the deadline.
+        script = textwrap.dedent(
+            """
+            from repro.core import ShardAnalysisError, ShardedAnalyzer
+            from repro.trace import extract_sessions
+            from tests.unit.core.test_sharded_equivalence import churn_trace
+
+            trace = churn_trace(17)
+            for _ in range(3):
+                with ShardedAnalyzer(trace, 2, backend="process") as sharded:
+                    pool = sharded._scheduler._process_pool(2)
+                    workers = pool._processes
+                    pool.submit(int, 0).result()
+                    for proc in list(workers.values()):
+                        proc.terminate()
+                    try:
+                        sharded.sessions()
+                    except ShardAnalysisError:
+                        pass
+                    alive = [w.pid for w in workers.values() if w.is_alive()]
+                    assert alive == [], f"workers left alive: {alive}"
+                    assert sharded.sessions() == extract_sessions(trace)
+            print("done", flush=True)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=90)
+        except subprocess.TimeoutExpired:
+            # Take the stuck workers down with the interpreter.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("process did not exit within 90 s of its last task")
+        assert child.returncode == 0, err
+        assert out.strip() == "done"

@@ -416,8 +416,21 @@ class TestServeCli:
         assert code == 2
         assert "local store" in capsys.readouterr().err
 
-    def test_crawl_http_sink_unreachable_service_fails_cleanly(self, capsys):
-        # Nothing listens on the target: exit 1 + message, no traceback.
+    def test_crawl_http_sink_unreachable_service_fails_cleanly(self, capsys, monkeypatch):
+        # Nothing listens on the target: exit 1 + message, no traceback,
+        # after the whole retry budget — waited through a recording
+        # no-op sleep instead of the real backoff.
+        import repro.service as service_mod
+
+        waits: list[float] = []
+        sinks = []
+        real_sink = service_mod.HttpRoundSink
+
+        def recording_sink(url, **kwargs):
+            sinks.append(real_sink(url, sleep=waits.append, **kwargs))
+            return sinks[-1]
+
+        monkeypatch.setattr(service_mod, "HttpRoundSink", recording_sink)
         code = main([
             "crawl", "--land", "dance", "--hours", "0.05",
             "--spinup", "0", "--round-minutes", "1",
@@ -425,6 +438,8 @@ class TestServeCli:
         ])
         assert code == 1
         assert "ingest failed" in capsys.readouterr().err
+        assert len(sinks) == 1
+        assert len(waits) == sinks[0].retries
 
 
 class TestScenarioFlags:
