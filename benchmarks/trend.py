@@ -233,6 +233,42 @@ def bench_query_service() -> dict:
     }
 
 
+def bench_world_engine() -> dict:
+    """World-engine speed per paper land, checked against the golden traces.
+
+    Ungated: simulate seconds and observations per second are absolute
+    numbers, so they are recorded without a baseline or floor.  Each
+    land runs the golden-trace window of
+    ``tests/unit/metaverse/golden_traces.py`` and must reproduce its
+    pinned digest, so a faster engine that changed a trace fails here
+    instead of reporting a speedup.
+    """
+    import statistics
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from repro.experiments.runner import simulate_preset
+    from tests.unit.metaverse.golden_traces import (
+        GOLDEN,
+        GOLDEN_CONFIG,
+        PRESETS,
+        mismatch_message,
+        trace_digest,
+    )
+
+    timings: dict[str, float] = {}
+    for land, preset in PRESETS.items():
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            trace = simulate_preset(preset(), GOLDEN_CONFIG)
+            seconds.append(time.perf_counter() - t0)
+            assert trace_digest(trace) == GOLDEN[land], mismatch_message(land)
+        simulate_s = statistics.median(seconds)
+        timings[f"{land}_simulate_s"] = simulate_s
+        timings[f"{land}_obs_per_s"] = trace.columns.observation_count / simulate_s
+    return {"metrics": {}, "timings": timings}
+
+
 BENCHES = {
     "contacts_grid": bench_contacts_grid,
     "extraction_kernels": bench_extraction_kernels,
@@ -243,6 +279,7 @@ BENCHES = {
     "network_backend": bench_network_backend,
     "query_service": bench_query_service,
     "load_generator": bench_load_generator,
+    "world_engine": bench_world_engine,
 }
 
 

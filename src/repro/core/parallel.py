@@ -65,6 +65,10 @@ from repro.trace import (
 #: Execution backends understood by :class:`PartScheduler`.
 SCHEDULER_BACKENDS = ("serial", "thread", "process", "network")
 
+#: Seconds :meth:`PartScheduler.discard_pool` waits for a dropped
+#: pool's manager thread after killing its workers.
+_MANAGER_JOIN_TIMEOUT_S = 10.0
+
 #: Task kinds understood by :func:`run_shard_task`.
 TASK_KINDS = (
     "contacts",
@@ -407,9 +411,12 @@ class PartScheduler:
                 pool.submit(run_shard_file_task, str(path), kind, params)
                 for path, (_, params) in zip(paths, tasks)
             ]
-        except (BrokenProcessPool, OSError) as exc:
-            # OSError: a worker spawned while the pool was breaking
-            # found the call queue already closed.
+        except (BrokenProcessPool, OSError, ValueError) as exc:
+            # OSError, ValueError ("bad value(s) in fds_to_keep"): a
+            # worker spawned while the pool was breaking found the call
+            # queue already closed.  Any other ValueError is not ours.
+            if isinstance(exc, ValueError) and "fds_to_keep" not in str(exc):
+                raise
             self.discard_pool()
             raise self._error_cls(
                 f"{kind}: the worker pool broke before part tasks could "
@@ -501,14 +508,23 @@ class PartScheduler:
         executor's own teardown: it blocks forever on the call-queue
         lock the dead worker held, and the executor's manager thread,
         which interpreter exit joins, waits on it forever.
+
+        The manager thread may be reaping the same workers.  A
+        ``join`` that loses that race returns before the exit status is
+        stored, and ``is_alive`` then reports a reaped worker as
+        running, so the manager thread is joined too (bounded: once
+        the workers are dead it has nothing left to wait for).
         """
         pool = self._pool
         if pool is not None:
             workers = list((pool._processes or {}).values())
+            manager = pool._executor_manager_thread
             pool.shutdown(wait=False, cancel_futures=True)
             for worker in workers:
                 worker.kill()
                 worker.join()
+            if manager is not None:
+                manager.join(timeout=_MANAGER_JOIN_TIMEOUT_S)
             self._pool = None
         if self._pool_finalizer is not None:
             self._pool_finalizer.detach()

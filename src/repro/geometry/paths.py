@@ -47,14 +47,26 @@ class Path:
     The path tracks how far along it has been walked; ``advance``
     moves the cursor and returns the new position, which makes the
     world-engine update loop a single call per avatar per tick.
+
+    Waypoints are stored as a tuple and the segment lengths are summed
+    once at construction, so ``length``, ``remaining`` and
+    ``position_at`` cost no ``Segment`` objects per call.  The cached
+    total is the same left-to-right sum the segments would give.
     """
 
-    waypoints: list[Position] = field(default_factory=list)
+    waypoints: tuple[Position, ...] = ()
     _walked: float = field(default=0.0, repr=False)
+    _lengths: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.waypoints = tuple(self.waypoints)
         if len(self.waypoints) < 1:
             raise ValueError("a path needs at least one waypoint")
+        self._lengths = tuple(
+            distance(start, end) for start, end in zip(self.waypoints, self.waypoints[1:])
+        )
+        self._length = sum(self._lengths)
 
     @classmethod
     def from_points(cls, points: Sequence[Position | Sequence[float]]) -> "Path":
@@ -63,7 +75,7 @@ class Path:
             p if isinstance(p, Position) else Position(p[0], p[1], p[2] if len(p) > 2 else 0.0)
             for p in points
         ]
-        return cls(waypoints=coerced)
+        return cls(waypoints=tuple(coerced))
 
     def segments(self) -> Iterator[Segment]:
         """Yield the straight legs between consecutive waypoints."""
@@ -73,7 +85,7 @@ class Path:
     @property
     def length(self) -> float:
         """Total planar length of the polyline."""
-        return sum(segment.length for segment in self.segments())
+        return self._length
 
     @property
     def walked(self) -> float:
@@ -83,12 +95,12 @@ class Path:
     @property
     def remaining(self) -> float:
         """Distance left to the final waypoint."""
-        return max(0.0, self.length - self._walked)
+        return max(0.0, self._length - self._walked)
 
     @property
     def finished(self) -> bool:
         """True once the cursor has reached the final waypoint."""
-        return self._walked >= self.length
+        return self._walked >= self._length
 
     def position_at(self, travelled: float) -> Position:
         """Position after covering ``travelled`` meters from the start.
@@ -96,15 +108,16 @@ class Path:
         Clamps to the endpoints, so negative input returns the first
         waypoint and overshoot returns the last.
         """
-        if travelled <= 0.0 or len(self.waypoints) == 1:
-            return self.waypoints[0]
+        waypoints = self.waypoints
+        if travelled <= 0.0 or len(waypoints) == 1:
+            return waypoints[0]
         covered = 0.0
-        for segment in self.segments():
-            seg_len = segment.length
+        for index, seg_len in enumerate(self._lengths):
             if seg_len > 0.0 and covered + seg_len >= travelled:
+                segment = Segment(waypoints[index], waypoints[index + 1])
                 return segment.point_at((travelled - covered) / seg_len)
             covered += seg_len
-        return self.waypoints[-1]
+        return waypoints[-1]
 
     def advance(self, step: float) -> Position:
         """Move the cursor ``step`` meters forward and return the position.
@@ -114,7 +127,7 @@ class Path:
         """
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
-        self._walked = min(self._walked + step, self.length)
+        self._walked = min(self._walked + step, self._length)
         return self.position_at(self._walked)
 
     def current_position(self) -> Position:

@@ -9,6 +9,7 @@ mobility model; the avatar only executes them.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ from repro.mobility import Leg, MobilityModel
 #: Floor applied to degenerate (zero-length, zero-pause) legs so a
 #: misbehaving mobility model cannot stall the simulation clock.
 _MIN_EFFECTIVE_PAUSE = 0.25
+
+#: Time left in a tick below which :meth:`Avatar.tick` stops stepping.
+_TICK_EPSILON = 1e-12
 
 #: Sentinel marking per-avatar mobility state that has not been seeded
 #: yet (``None`` is a valid state for stateless models).
@@ -38,8 +42,8 @@ class AvatarState(enum.Enum):
 class Avatar:
     """One user connected to a land.
 
-    The world engine calls :meth:`tick` once per simulation step; the
-    avatar walks its current leg at the leg's speed, pauses on arrival,
+    The world engine ticks every avatar once per simulation step (via
+    :func:`tick_all`); the avatar walks its current leg at the leg's speed, pauses on arrival,
     and asks the mobility model for a new leg when the pause runs out.
     """
 
@@ -120,7 +124,7 @@ class Avatar:
             return
 
         remaining = dt
-        while remaining > 1e-12:
+        while remaining > _TICK_EPSILON:
             if self.state is AvatarState.PAUSED:
                 if self._pause_left > remaining:
                     self._pause_left -= remaining
@@ -161,3 +165,26 @@ class Avatar:
             self._leg = None
             self.state = AvatarState.PAUSED
             self._pause_left = max(leg.pause, _MIN_EFFECTIVE_PAUSE)
+
+
+def tick_all(avatars: Iterable[Avatar], dt: float, rng: np.random.Generator) -> Iterator[Avatar]:
+    """Tick each avatar in turn, yielding those whose position the tick replaced.
+
+    The same as calling :meth:`Avatar.tick` on each avatar in order, so
+    the draws from ``rng`` are the same, but the two commonest ticks
+    skip the call: a sitting avatar's tick is a no-op, and a paused
+    avatar whose pause outlasts ``dt`` only counts it down, which is
+    the subtraction ``tick`` makes in that case.  A moved avatar is
+    yielded before the next one ticks.
+    """
+    for avatar in avatars:
+        state = avatar.state
+        if state is AvatarState.SITTING:
+            continue
+        if state is AvatarState.PAUSED and avatar._pause_left > dt > _TICK_EPSILON:
+            avatar._pause_left -= dt
+            continue
+        before = avatar.position
+        avatar.tick(dt, rng)
+        if avatar.position is not before:
+            yield avatar

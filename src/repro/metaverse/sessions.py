@@ -140,39 +140,52 @@ class SessionProcess:
         duration: float,
         rng: np.random.Generator,
         start: float = 0.0,
-        boost: "Callable[[float], float] | None" = None,
+        boost: "float | Callable[[float], float]" = 1.0,
         serial_start: int = 0,
+        boost_steps: Sequence[float] = (),
     ) -> list[PlannedVisit]:
         """All visits of users whose *first* login falls in ``[start, start+duration)``.
 
         First arrivals are drawn by Lewis-Shedler thinning of the
-        diurnal rate (optionally multiplied by ``boost(t)``, which is
-        how scheduled events inflate arrivals); durations are
-        independent draws from the session law; each visit then chains
-        re-visits of the same user with ``revisit_probability``.
-        Sessions may extend past the window — the monitor simply stops
-        observing them, exactly as the paper's 24 h window truncates
-        real sessions.
+        diurnal rate multiplied by ``boost``, which is how scheduled
+        events inflate arrivals; durations are independent draws from
+        the session law; each visit then chains re-visits of the same
+        user with ``revisit_probability``.  Sessions may extend past
+        the window — the monitor simply stops observing them, exactly
+        as the paper's 24 h window truncates real sessions.
+
+        ``boost`` is either a positive constant multiplier (the default
+        1.0 leaves the rate as it is) or a function of time.  A function is maximised over 97 evenly
+        spaced points of the window plus every time in ``boost_steps``
+        that falls inside it; passing the times where the boost steps
+        up keeps a boost shorter than the point spacing inside the
+        thinning envelope.  A constant gives exactly the visits of the
+        function that always returns it, without sampling anything.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         visits: list[PlannedVisit] = []
-        peak = self.peak_rate
-        peak_boost = 1.0
-        if boost is not None:
+        end = start + duration
+        if callable(boost):
             # The thinning envelope must dominate the boosted rate.
             peak_boost = max(boost(start + s) for s in np.linspace(0, duration, 97))
-        envelope = peak * peak_boost
-        end = start + duration
+            for edge in boost_steps:
+                if start <= edge <= end:
+                    peak_boost = max(peak_boost, boost(edge))
+        else:
+            level = peak_boost = float(boost)
+            if level <= 0:
+                raise ValueError(f"a constant boost must be positive, got {boost}")
+        envelope = self.peak_rate * peak_boost
         t = start
         serial = serial_start
         while True:
             t += float(rng.exponential(1.0 / envelope))
             if t >= end:
                 break
-            rate = self.rate_at(t) * (boost(t) if boost is not None else 1.0)
+            rate = self.rate_at(t) * (boost(t) if callable(boost) else level)
             if rng.random() * envelope <= rate:
                 serial += 1
                 user_id = f"{self.user_prefix}-{serial:05d}"

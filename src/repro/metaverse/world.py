@@ -11,11 +11,12 @@ sampling error in the reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.geometry import Position, distance
-from repro.metaverse.avatar import Avatar, AvatarState
+from repro.metaverse.avatar import Avatar, AvatarState, tick_all
 from repro.metaverse.chat import ChatChannel
 from repro.metaverse.events import ScheduledEvent
 from repro.metaverse.land import Land
@@ -125,6 +126,10 @@ class World:
         self._pending_cursor = 0
         self._scheduled_until = float(start_time)
         self._serials: dict[str, int] = {}
+        # Times where the event boost may change level.
+        self._event_edges = tuple(
+            edge for event in self.events for edge in (event.start, event.end)
+        )
 
     # -- scheduling -----------------------------------------------------
 
@@ -138,15 +143,20 @@ class World:
         if horizon <= self._scheduled_until:
             return
         start = self._scheduled_until
+        # ``schedule`` samples up to ``start + duration``, which may
+        # differ from ``horizon`` in the last bit.
+        boost = self._window_boost(start, start + (horizon - start))
         arrivals: list[tuple[PlannedVisit, Population, bool]] = []
         for population in self.populations:
-            for visit in self._schedule_population(population, start, horizon):
+            for visit in self._schedule_population(population, start, horizon, boost):
                 during_event = any(e.active_at(visit.arrival_time) for e in self.events)
                 arrivals.append((visit, population, during_event))
-        self._pending.extend(arrivals)
-        # Keep pending arrivals globally time-ordered past the cursor.
-        tail = sorted(self._pending[self._pending_cursor:], key=lambda a: a[0].arrival_time)
-        self._pending[self._pending_cursor:] = tail
+        if arrivals:
+            self._pending.extend(arrivals)
+            # Keep pending arrivals globally time-ordered past the
+            # cursor.  A tail nothing was added to is still in order.
+            tail = sorted(self._pending[self._pending_cursor:], key=lambda a: a[0].arrival_time)
+            self._pending[self._pending_cursor:] = tail
         self._scheduled_until = horizon
 
     def _schedule_population(
@@ -154,27 +164,45 @@ class World:
         population: Population,
         start: float,
         end: float,
+        boost: "float | Callable[[float], float]",
     ) -> list[PlannedVisit]:
         """Arrivals of users first appearing in ``[start, end)``.
 
         Delegates to the population's session process (which handles
         thinning, revisit chains and serial numbering) with the event
-        boost as the rate multiplier.  Revisit arrivals may land beyond
-        ``end``; they stay pending until the clock reaches them.
+        boost (see :meth:`_window_boost`) as the rate multiplier.
+        Revisit arrivals may land beyond ``end``; they stay pending
+        until the clock reaches them.
         """
         process = population.process
         visits = process.schedule(
             duration=end - start,
             rng=self.rng,
             start=start,
-            boost=self._event_boost if self.events else None,
+            boost=boost,
             serial_start=self._serials.get(process.user_prefix, 0),
+            boost_steps=self._event_edges,
         )
         first_visits = {visit.user_id for visit in visits}
         self._serials[process.user_prefix] = (
             self._serials.get(process.user_prefix, 0) + len(first_visits)
         )
         return visits
+
+    def _window_boost(
+        self, start: float, stop: float
+    ) -> "float | Callable[[float], float]":
+        """The ``boost`` argument for a schedule sampled over ``[start, stop]``.
+
+        The event boost only changes level at an event edge: ``t``
+        and ``u > t`` see the same events active unless an edge ``e``
+        has ``t < e <= u``.  Without such an edge in the window every
+        point the schedule would sample gives ``_event_boost(start)``,
+        so the window gets that constant instead of the function.
+        """
+        if any(start < edge <= stop for edge in self._event_edges):
+            return self._event_boost
+        return self._event_boost(start)
 
     def _event_boost(self, t: float) -> float:
         """Combined arrival multiplier of all events active at ``t``."""
@@ -317,9 +345,15 @@ class World:
             self.stats.logouts += 1
 
     def _tick_avatars(self) -> None:
-        for avatar in self._online.values():
-            avatar.tick(self.dt, self.rng)
-            avatar.position = self.land.clamp(avatar.position)
+        """Advance every avatar one tick, clamping only positions that moved.
+
+        Every position an avatar holds was clamped already, and
+        clamping a clamped point gives back the same values, so only
+        the avatars :func:`tick_all` yields need it.
+        """
+        clamp = self.land.clamp
+        for avatar in tick_all(self._online.values(), self.dt, self.rng):
+            avatar.position = clamp(avatar.position)
         for obs in self._observers.values():
             obs.avatar.tick(self.dt, self.rng)
             obs.avatar.position = self.land.clamp(obs.avatar.position)

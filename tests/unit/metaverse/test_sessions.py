@@ -1,5 +1,7 @@
 """Unit tests for repro.metaverse.sessions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.metaverse.sessions import (
     MAX_SESSION_SECONDS,
     VisitIterator,
 )
+from tests.unit.metaverse.golden_traces import mismatch_message
 
 
 @pytest.fixture
@@ -105,6 +108,94 @@ class TestSessionProcess:
             SessionProcess(hourly_rate=10.0, diurnal_profile=(0.0,) * 24)
         with pytest.raises(ValueError):
             SessionProcess(hourly_rate=10.0, revisit_probability=1.0)
+
+
+def _visits_digest(runs):
+    digest = hashlib.sha256()
+    for visits in runs:
+        for v in visits:
+            digest.update(f"{v.user_id} {v.arrival_time!r} {v.duration!r}\n".encode())
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+class TestBoostContract:
+    """A constant boost is the function that always returns it."""
+
+    LEVELS = (0.5, 1.0, 1.9, 4.0)
+    SEEDS = range(4)
+    #: Visits of ``boost=lambda t: c`` for every level and seed, recorded
+    #: before ``schedule`` accepted constants (with ``RECORDED_WITH``).
+    PINNED = "dcf853d057924ff83f1996ef6df8470101862a430336b50bbaac6f99cb8b2648"
+
+    @staticmethod
+    def _schedule(boost, seed):
+        proc = SessionProcess(
+            hourly_rate=95.0,
+            diurnal_profile=EVENING_PROFILE,
+            user_prefix="c",
+            revisit_probability=0.3,
+        )
+        return proc.schedule(7200.0, np.random.default_rng(seed), start=9.5 * 3600.0, boost=boost)
+
+    def test_constant_equals_function(self):
+        for level in self.LEVELS:
+            for seed in self.SEEDS:
+                constant = self._schedule(level, seed)
+                function = self._schedule(lambda t, c=level: c, seed)
+                assert constant == function, (level, seed)
+
+    def test_function_output_is_pinned(self):
+        runs = [
+            self._schedule(lambda t, c=level: c, seed)
+            for level in self.LEVELS
+            for seed in self.SEEDS
+        ]
+        assert _visits_digest(runs) == self.PINNED, mismatch_message("boost contract")
+
+    @pytest.mark.parametrize("level", [0.0, -1.0])
+    def test_non_positive_constant_rejected(self, level, rng):
+        with pytest.raises(ValueError, match="positive"):
+            SessionProcess(hourly_rate=60.0).schedule(600.0, rng, boost=level)
+
+
+class TestShortBoost:
+    """A boost shorter than the envelope's sample spacing still counts."""
+
+    EVENT_START, EVENT_LENGTH, LEVEL = 40000.0, 300.0, 5.0
+
+    def _boost(self, t):
+        inside = self.EVENT_START <= t < self.EVENT_START + self.EVENT_LENGTH
+        return self.LEVEL if inside else 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_event_arrivals_match_the_boosted_rate(self, seed):
+        # 3600 arrivals/h over a 24 h window: the 97 envelope points are
+        # 900 s apart and all miss the 300 s event, so without its edges
+        # the envelope stays at the base rate and thinning caps the
+        # event's arrivals at ~300 instead of ~1500.
+        proc = SessionProcess(hourly_rate=3600.0)
+        visits = proc.schedule(
+            24 * 3600.0,
+            np.random.default_rng(seed),
+            boost=self._boost,
+            boost_steps=(self.EVENT_START, self.EVENT_START + self.EVENT_LENGTH),
+        )
+        inside = sum(
+            1
+            for v in visits
+            if self.EVENT_START <= v.arrival_time < self.EVENT_START + self.EVENT_LENGTH
+        )
+        expected = self.LEVEL * self.EVENT_LENGTH  # 1 arrival/s, boosted 5x
+        assert abs(inside - expected) < 5 * np.sqrt(expected)
+
+    def test_steps_outside_the_window_are_ignored(self):
+        proc = SessionProcess(hourly_rate=3600.0)
+        plain = proc.schedule(3600.0, np.random.default_rng(3), boost=self._boost)
+        stepped = proc.schedule(
+            3600.0, np.random.default_rng(3), boost=self._boost, boost_steps=(self.EVENT_START,)
+        )
+        assert plain == stepped
 
 
 class TestRevisits:

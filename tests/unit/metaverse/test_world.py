@@ -145,6 +145,33 @@ class TestEvents:
         assert world._event_boost(700.0) == 4.0
         assert world._event_boost(1800.0) == 1.0
 
+    def test_window_boost_is_constant_between_edges(self):
+        world = self._event_world()
+        assert world._window_boost(0.0, 599.0) == 1.0
+        assert world._window_boost(600.0, 1200.0) == 4.0
+        assert world._window_boost(1800.0, 2400.0) == 1.0
+        # An edge inside (start, stop] hands over the function, an
+        # edge at the window's start does not.
+        assert world._window_boost(599.0, 600.0) == world._event_boost
+        assert world._window_boost(1000.0, 1800.0) == world._event_boost
+        assert world._window_boost(1799.0, 1800.0) == world._event_boost
+        assert world._window_boost(1800.0, 1801.0) == 1.0
+
+    def test_no_events_means_unit_boost(self):
+        assert _world(seed=1)._window_boost(0.0, 3600.0) == 1.0
+
+    def test_short_event_inside_a_long_window_is_boosted(self):
+        # One 24 h scheduling window: its 97 envelope points are 900 s
+        # apart, so only the event edges the world passes on keep the
+        # 300 s, 5x event inside the thinning envelope.
+        venue = PointOfInterest("stage", 128.0, 128.0, radius=15.0, weight=1.0)
+        event = ScheduledEvent("flash", start=40000.0, end=40300.0, venue=venue, arrival_boost=5.0)
+        pop = Population("v", SessionProcess(hourly_rate=3600.0), RandomWaypoint(256.0, 256.0))
+        world = World(Land("E", pois=[venue]), [pop], events=(event,), seed=0)
+        world.prepare(24 * 3600.0)
+        inside = sum(1 for visit, _, during in world._pending if during)
+        assert abs(inside - 1500) < 5 * np.sqrt(1500)
+
 
 class TestObservers:
     def test_observer_not_in_snapshot(self):
