@@ -4,15 +4,16 @@ Two claims of the streaming layer (PR 4) are measured:
 
 1. **Append cost** — both strategies consume the same stream of
    ``(time, names, coords)`` snapshots.  Committing a crawl round
-   through :class:`~repro.trace.RtrcAppender` writes only that
-   round's rows plus one header; the batch pipeline's alternative —
+   through :class:`~repro.trace.RtrcDirAppender` writes only that
+   round's rows as one shard file plus the manifest; the batch
+   pipeline's alternative —
    accumulate in a :class:`~repro.trace.ColumnarBuilder` and rewrite
    the whole file each round so the trace on disk stays current —
    rebuilds and rewrites the entire prefix every time, O(R) vs
    O(R²/2) bytes over R rounds.
 2. **Analysis cost** — after each commit,
    :class:`~repro.core.live.LiveAnalyzer` extracts contacts over only
-   the newly appended span and re-merges, where a fresh
+   the newly committed round file and re-merges, where a fresh
    :class:`~repro.core.analyzer.TraceAnalyzer` re-extracts the whole
    prefix.
 
@@ -31,7 +32,7 @@ import time
 import numpy as np
 
 from repro.core import LiveAnalyzer, TraceAnalyzer
-from repro.trace import ColumnarBuilder, RtrcAppender, Trace, write_trace_rtrc
+from repro.trace import ColumnarBuilder, RtrcDirAppender, Trace, write_trace_rtrc
 from repro.trace.columnar import ColumnarStore, UserInterner
 
 #: Full-run workload: 500 snapshots x 2000 users = 1M observations.
@@ -45,9 +46,8 @@ RADIUS = 10.0
 
 #: Floors for the pytest harness (full-run numbers are higher; these
 #: only catch a fall back to quadratic behaviour).  The append floor
-#: is modest because at pytest scale the appender's geometric
-#: capacity-doubling rewrites have not amortized yet — the dev
-#: container measures ~2.1x here and 2.3x at 1M observations.  The
+#: is modest because at pytest scale the per-round file and manifest
+#: writes weigh more than the rewritten prefix they save.  The
 #: analysis floor narrowed when the run-length kernels made the
 #: full-recompute baseline ~4x faster (the incremental path saves
 #: re-extraction, which now costs less): ~1.3x measured, floor 1.1.
@@ -81,7 +81,7 @@ def _snapshot_feed(trace: Trace) -> list[tuple[float, list[str], np.ndarray]]:
     return feed
 
 
-def _stream_round(appender: RtrcAppender, feed, lo: int, hi: int) -> None:
+def _stream_round(appender: RtrcDirAppender, feed, lo: int, hi: int) -> None:
     for t, names, coords in feed[lo:hi]:
         appender.append_snapshot(t, names, coords)
 
@@ -92,7 +92,7 @@ def measure_append(trace: Trace, rounds: int, tmp) -> dict[str, float]:
     feed = _snapshot_feed(trace)
 
     t0 = time.perf_counter()
-    with RtrcAppender(tmp / "stream.rtrc", trace.metadata) as appender:
+    with RtrcDirAppender(tmp / "stream", trace.metadata) as appender:
         for lo, hi in zip(edges[:-1], edges[1:]):
             _stream_round(appender, feed, int(lo), int(hi))
             appender.commit()
@@ -118,11 +118,11 @@ def measure_analysis(trace: Trace, rounds: int, tmp) -> dict[str, float]:
     """Seconds of per-round contact analysis, incremental vs full."""
     edges = _round_edges(len(trace), rounds)
     feed = _snapshot_feed(trace)
-    path = tmp / "live.rtrc"
+    path = tmp / "live"
 
     t_live = 0.0
     t_full = 0.0
-    with RtrcAppender(path, trace.metadata) as appender:
+    with RtrcDirAppender(path, trace.metadata) as appender:
         live = LiveAnalyzer(path)
         for lo, hi in zip(edges[:-1], edges[1:]):
             _stream_round(appender, feed, int(lo), int(hi))
@@ -169,16 +169,16 @@ def test_incremental_analysis_beats_recompute(tmp_path):
 
 
 def test_streamed_store_loads_identically(tmp_path):
-    from repro.trace import read_trace_rtrc
+    from repro.trace import read_trace
 
     trace = _trace(40, 50)
     edges = _round_edges(len(trace), 4)
     feed = _snapshot_feed(trace)
-    with RtrcAppender(tmp_path / "s.rtrc", trace.metadata) as appender:
+    with RtrcDirAppender(tmp_path / "s", trace.metadata) as appender:
         for lo, hi in zip(edges[:-1], edges[1:]):
             _stream_round(appender, feed, int(lo), int(hi))
             appender.commit()
-    loaded = read_trace_rtrc(tmp_path / "s.rtrc")
+    loaded = read_trace(tmp_path / "s")
     assert np.array_equal(loaded.columns.times, trace.columns.times)
     assert np.array_equal(loaded.columns.xyz, trace.columns.xyz)
 

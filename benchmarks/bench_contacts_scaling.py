@@ -1,8 +1,8 @@
 """Contact-extraction scaling: grid-indexed engine vs dense reference.
 
 Measures wall time of :func:`repro.core.contacts.extract_contacts`
-(uniform-grid cell list over columnar arrays) against
-:func:`extract_contacts_reference` (dense O(n²) distance matrix over
+(uniform-grid cell list over columnar arrays) against the dense O(n²)
+reference extractor in ``tests/oracles.py`` (distance matrix over
 per-snapshot dicts) on random-walk traces of growing avatar count.
 
 Runs two ways:
@@ -19,17 +19,18 @@ asserted on every run at the smallest size.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.contacts import (
-    BLUETOOTH_RANGE,
-    extract_contacts,
-    extract_contacts_reference,
-)
+from repro.core.contacts import BLUETOOTH_RANGE, extract_contacts
 from repro.trace import random_walk_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import extract_contacts_reference
 
 #: Avatar counts for the scaling sweep.
 SIZES = (50, 200, 1000)

@@ -5,10 +5,9 @@ random-walk trace both ways — the vectorized run-length kernels
 (:func:`repro.core.extract_contact_set`,
 :func:`repro.trace.extract_session_set`,
 :func:`repro.core.extract_contact_sets_multirange`) against the
-original Python state machines, kept as
-:func:`repro.core.extract_contacts_loop`,
-:func:`repro.trace.extract_sessions_loop` and
-:func:`repro.core.extract_contacts_multirange_loop`.  Every kernel
+original Python state machines, kept in ``tests/oracles.py`` as
+``extract_contacts_loop``, ``extract_sessions_loop`` and
+``extract_contacts_multirange_loop``.  Every kernel
 result is asserted bit-for-bit equal to its loop oracle before any
 ratio is reported.
 
@@ -30,16 +29,19 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 from bench_parallel_backends import walk_trace
 
-from repro.core import (
-    extract_contact_set,
-    extract_contact_sets_multirange,
+from repro.core import extract_contact_set, extract_contact_sets_multirange
+from repro.trace import Trace, extract_session_set
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import (
     extract_contacts_loop,
     extract_contacts_multirange_loop,
+    extract_sessions_loop,
 )
-from repro.trace import Trace, extract_session_set, extract_sessions_loop
 
 #: Full-run workload: 500 snapshots x 2000 users = 1M observations.
 FULL_SNAPSHOTS, FULL_USERS = 500, 2000

@@ -44,12 +44,10 @@ BASELINES_PATH = Path(__file__).with_name("baselines.json")
 
 def bench_contacts_grid() -> dict:
     """Grid-indexed contact engine vs the dense O(n^2) reference."""
-    from repro.core.contacts import (
-        BLUETOOTH_RANGE,
-        extract_contacts,
-        extract_contacts_reference,
-    )
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from repro.core.contacts import BLUETOOTH_RANGE, extract_contacts
     from repro.trace import random_walk_trace
+    from tests.oracles import extract_contacts_reference
 
     trace = random_walk_trace(200, 40, np.random.default_rng(200))
     extract_contacts(trace, BLUETOOTH_RANGE)  # warm allocator/caches

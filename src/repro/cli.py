@@ -7,9 +7,8 @@ examples: ``docs/cli.md``)::
     slmob simulate --land dance --monitor sensors --sensor-model pathloss \
         --out lossy.rtrc
     slmob simulate --land campus --monitor association --out campus.rtrc
-    slmob crawl --land dance --hours 8 --out live.rtrc --follow
-    slmob crawl --land campus --monitor association --out campus-live.rtrc
     slmob crawl --land dance --hours 8 --out live-shards --follow
+    slmob crawl --land campus --monitor association --out campus-live
     slmob crawl --land dance --out http://127.0.0.1:8700/v1/crawl
     slmob convert dance.csv.gz dance.rtrc
     slmob analyze dance.rtrc --shards 4 --backend process
@@ -19,35 +18,35 @@ examples: ``docs/cli.md``)::
     slmob worker http://127.0.0.1:8831/v1
     slmob shard-export dance.rtrc shards/ --shards 8
     slmob compact live-shards --shards 4
+    slmob convert live-shards live.rtrc
     slmob validate dance.rtrc
     slmob experiments --hours 3          # paper-vs-measured report
     slmob experiments --full --out EXPERIMENTS.md
 
 ``simulate`` runs a calibrated land under a monitor and writes the
 trace in one shot; ``crawl`` runs the same measurement *streaming* —
-snapshots append round by round to a single ``.rtrc`` store
-(:class:`~repro.trace.RtrcAppender`) or, given a suffix-less output
-path, to a shard directory where every committed round becomes its
-own immutable shard file (:class:`~repro.trace.RtrcDirAppender`);
-``--follow`` analyzes the growing store incrementally either way;
-``convert`` transcodes between the CSV / JSONL / binary ``.rtrc``
-formats (suffix decides); ``analyze`` recomputes every §3 metric from
-a trace file — with ``--shards K`` the heavy extractions fan out over
-K time shards, on threads or (``--backend process``) spawned workers
-that memmap-load per-shard ``.rtrc`` files, and with ``--follow`` it
-tails a store or shard directory another process is appending to
-(``--backend`` fans the catch-up extractions too); with ``--backend
-network`` the analysis fans over ``worker`` processes — possibly on
-other machines — attached to an HTTP coordinator the analyze process
-hosts (``--workers N`` spawns local ones, ``--listen`` binds a
-routable address for remote ones); ``serve`` holds
-live followers over one or more stores and answers cached JSON
-queries (contacts / sessions / zones / graph metrics) over HTTP,
-optionally accepting crawl rounds via ``POST`` — the target of
-``crawl --out http://...``; ``shard-export``
+snapshots append round by round to a shard directory where every
+committed round becomes its own immutable shard file
+(:class:`~repro.trace.RtrcDirAppender`), and ``--follow`` analyzes
+the growing directory incrementally; ``convert`` transcodes between
+the CSV / JSONL / binary ``.rtrc`` formats (suffix decides; a shard
+directory reads as one trace, so ``convert <dir> x.rtrc`` exports a
+crawl as a single write-once file); ``analyze`` recomputes every §3
+metric from a trace file or shard directory — with ``--shards K``
+the heavy extractions fan out over K time shards, on threads or
+(``--backend process``) spawned workers that memmap-load per-shard
+``.rtrc`` files, and with ``--follow`` it tails a shard directory
+another process is appending to (``--backend`` fans the catch-up
+extractions too); with ``--backend network`` the analysis fans over
+``worker`` processes — possibly on other machines — attached to an
+HTTP coordinator the analyze process hosts (``--workers N`` spawns
+local ones, ``--listen`` binds a routable address for remote ones);
+``serve`` holds live followers over one or more shard directories and
+answers cached JSON queries (contacts / sessions / zones / graph
+metrics) over HTTP, optionally accepting crawl rounds via ``POST`` —
+the target of ``crawl --out http://...``; ``shard-export``
 materializes per-shard files (plus a manifest) for external workers;
-``compact`` folds many small append-round shards into balanced ones
-and trims the capacity slack of appendable single files;
+``compact`` folds many small append-round shards into balanced ones;
 ``experiments`` regenerates the paper's tables and figures.
 """
 
@@ -78,18 +77,14 @@ from repro.monitors import (
 from repro.service import DEFAULT_INGEST_BODY_LIMIT, DEFAULT_INGEST_BUDGET
 from repro.trace import (
     CompactionPolicy,
-    RtrcAppender,
     RtrcDirAppender,
-    StoreInUseError,
     TraceFormatError,
-    compact_rtrc_store,
     compact_shard_dir,
     list_rtrc_dir,
     read_trace,
     retain_shard_dir,
     shard_dir_slack,
     tier_shard_dir,
-    trace_format,
     validate_trace,
     write_trace,
 )
@@ -239,15 +234,27 @@ def _live_status(live: LiveAnalyzer, ranges: list[float], now: float | None) -> 
 
 
 def _is_shard_dir_path(path: Path) -> bool:
-    """Whether a crawl/follow target names a shard directory.
+    """Whether a live-store target names a shard directory.
 
-    An existing directory, or a *fresh* path with no suffix, selects
-    the shard-dir layout (one ``.rtrc`` file per committed round); a
-    ``.rtrc`` suffix selects the single appendable file.  An existing
-    suffix-less regular file is neither — let the format checks
-    reject it cleanly instead of mkdir-ing over it.
+    An existing directory, or a *fresh* path with no suffix, is one (a
+    crawl creates it); anything else — a trace file, or a path with a
+    suffix — is refused by :func:`_refuse_single_file` instead of
+    being mkdir-ed over.
     """
     return path.is_dir() or (path.suffix == "" and not path.exists())
+
+
+def _refuse_single_file(command: str, path: Path) -> int:
+    """Exit 2: live stores are shard directories, never one file."""
+    print(
+        f"{command} works on shard directories; {path} is not one "
+        "(a single .rtrc file is write-once).  Use a shard directory: a "
+        "suffix-less path for a new crawl, or 'slmob shard-export "
+        "x.rtrc <dir>' for an existing file.  Export a directory back "
+        "to one file with 'slmob convert <dir> x.rtrc'",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _crawl_http(args: argparse.Namespace) -> int:
@@ -313,23 +320,10 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     if args.out.startswith(("http://", "https://")):
         return _crawl_http(args)
     out = Path(args.out)
-    to_dir = _is_shard_dir_path(out)
-    if not to_dir and (trace_format(out) != "rtrc" or out.suffix == ".gz"):
-        print(
-            f"crawl streams to an appendable plain .rtrc store (or a "
-            f"suffix-less shard-directory path); got {out}",
-            file=sys.stderr,
-        )
-        return 2
+    if not _is_shard_dir_path(out):
+        return _refuse_single_file("crawl --out", out)
     policy = None
     if args.compact_every is not None:
-        if not to_dir:
-            print(
-                "--compact-every folds committed round files and needs a "
-                f"shard-directory --out; got the single file {out}",
-                file=sys.stderr,
-            )
-            return 2
         if args.compact_every < 1:
             print(
                 f"--compact-every must be >= 1, got {args.compact_every}",
@@ -349,14 +343,12 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         f"crawling {land_name!r} for {args.hours:.2f} h "
         f"(tau={args.tau:g}s, seed={args.seed}, monitor={args.monitor}, "
         f"round={args.round_minutes:g} min, streaming to {out}"
-        f"{' [shard dir, one file per round]' if to_dir else ''}"
+        " [shard dir, one file per round]"
         f"{f' [auto-compacting past {args.compact_every} files]' if policy else ''}"
         ")...",
         file=sys.stderr,
     )
-    with (
-        RtrcDirAppender(out, policy=policy) if to_dir else RtrcAppender(out)
-    ) as appender:
+    with RtrcDirAppender(out, policy=policy) as appender:
         if args.land == "metaverse":
             rounds = _replay_rounds(trace, appender, args.round_minutes * 60.0)
         else:
@@ -522,45 +514,6 @@ def _cmd_shard_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    target = Path(args.store)
-    if not target.exists():
-        print(f"{target}: no such store or shard directory", file=sys.stderr)
-        return 2
-    if target.is_dir():
-        return _compact_dir(args, target)
-    for flag, name in (
-        (args.retain, "--retain"),
-        (args.tier_after, "--tier-after"),
-        (args.max_round_files, "--max-round-files"),
-        (args.max_slack, "--max-slack"),
-    ):
-        if flag is not None:
-            print(
-                f"{name} applies to shard directories; {target} is a "
-                "single-file store",
-                file=sys.stderr,
-            )
-            return 2
-    if trace_format(target) != "rtrc" or target.suffix == ".gz":
-        print(
-            f"compact works on plain .rtrc stores and shard directories; "
-            f"got {target}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        path, reclaimed = compact_rtrc_store(target)
-    except StoreInUseError as exc:
-        print(f"cannot compact: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"compacted {path}: reclaimed {reclaimed} bytes of append slack",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _compact_dir(args: argparse.Namespace, target: Path) -> int:
     """The shard-directory lifecycle passes behind ``slmob compact``.
 
     Runs retention, then the (possibly threshold-gated) streaming
@@ -572,6 +525,12 @@ def _compact_dir(args: argparse.Namespace, target: Path) -> int:
     only ``--retain`` / ``--tier-after``, compaction is skipped
     entirely.
     """
+    target = Path(args.store)
+    if not target.exists():
+        print(f"{target}: no such store or shard directory", file=sys.stderr)
+        return 2
+    if not target.is_dir():
+        return _refuse_single_file("compact", target)
     before = sum(p.stat().st_size for p in target.iterdir() if p.is_file())
     gated = args.max_round_files is not None or args.max_slack is not None
     aging_only = (
@@ -638,11 +597,11 @@ def _compact_dir(args: argparse.Namespace, target: Path) -> int:
 
 
 def _open_live(path, backend: str = "serial", network=None) -> LiveAnalyzer:
-    """Open a LiveAnalyzer, absorbing one racing header rewrite.
+    """Open a LiveAnalyzer, absorbing one racing manifest swap.
 
-    The producer commits by rewriting the store header in place; a
-    read that lands mid-rewrite can parse a torn header.  One short
-    retry separates that transient from real corruption.
+    A read that lands between a compaction's manifest swap and its
+    file cleanup can miss a shard file.  One short retry separates
+    that transient from real corruption.
     """
     try:
         return LiveAnalyzer(path, backend=backend, network=network)
@@ -652,7 +611,7 @@ def _open_live(path, backend: str = "serial", network=None) -> LiveAnalyzer:
 
 
 def _refresh_live(live: LiveAnalyzer) -> int:
-    """``live.refresh()`` with the same torn-header retry."""
+    """``live.refresh()`` with the same transient-read retry."""
     try:
         return live.refresh()
     except TraceFormatError:
@@ -670,18 +629,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
     if args.follow:
-        if not _is_shard_dir_path(source) and (
-            trace_format(source) != "rtrc" or source.suffix == ".gz"
-        ):
-            print(
-                "--follow needs a plain .rtrc store or a shard directory",
-                file=sys.stderr,
-            )
-            return 2
+        if not _is_shard_dir_path(source):
+            return _refuse_single_file("analyze --follow", source)
         if not source.exists():
-            # A follower started before its producer: without the
-            # store (or directory) we cannot even pick the follow
-            # mode, so fail cleanly instead of a raw traceback.
+            # A follower started before its producer: fail cleanly
+            # instead of a raw traceback.
             print(
                 f"{source}: nothing to follow yet — start the crawl "
                 "first (or create the store), then re-run",
@@ -704,18 +656,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if source.is_dir():
-        # A finished shard-dir crawl analyzes like any other trace:
-        # load the committed rounds and concatenate.
-        from repro.trace import concat_shards, read_rtrc_dir
-
-        try:
-            trace = concat_shards(read_rtrc_dir(source))
-        except TraceFormatError as exc:
-            print(f"cannot load shard directory: {exc}", file=sys.stderr)
-            return 2
-    else:
-        trace = read_trace(source)
+    trace = read_trace(source)
     with TraceAnalyzer(
         trace, shards=args.shards, backend=backend, network=network
     ) as analyzer:
@@ -791,8 +732,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _serve_store_specs(specs: list[str]) -> dict[str, Path]:
     """Parse ``[name=]PATH`` store arguments into ``{name: path}``.
 
-    The default name is the path's basename with any ``.rtrc[.gz]``
-    suffix stripped — ``crawls/dance.rtrc`` serves as ``/v1/dance``.
+    The default name is the path's basename — ``crawls/dance`` serves
+    as ``/v1/dance``.
     """
     stores: dict[str, Path] = {}
     for spec in specs:
@@ -801,9 +742,6 @@ def _serve_store_specs(specs: list[str]) -> dict[str, Path]:
         else:
             raw = spec
             name = Path(raw).name
-            for suffix in (".gz", ".rtrc"):
-                if name.endswith(suffix):
-                    name = name[: -len(suffix)]
         if not name or "/" in name:
             raise ValueError(f"invalid store name in {spec!r}")
         if name in stores:
@@ -822,6 +760,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    for path in stores.values():
+        if not _is_shard_dir_path(path):
+            return _refuse_single_file("serve", path)
     try:
         service = QueryService(
             stores,
@@ -965,8 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     crawl = sub.add_parser(
         "crawl",
-        help="stream a live crawl into an appendable .rtrc store, "
-             "committing round by round",
+        help="stream a live crawl into a shard directory, committing "
+             "round by round",
     )
     add_world_args(crawl)
     crawl.add_argument("--monitor", choices=["crawler", "association"],
@@ -976,10 +917,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "associations (--land campus); the sensor grid "
                             "buffers in script memory and cannot stream")
     crawl.add_argument("--out", required=True,
-                       help="appendable output store: a plain .rtrc file, "
-                            "or a suffix-less path for a shard directory "
-                            "with one file per committed round (created or "
-                            "extended)")
+                       help="output shard directory (a suffix-less path): "
+                            "one file per committed round, created or "
+                            "extended; export a single .rtrc afterwards "
+                            "with 'slmob convert DIR x.rtrc'")
     crawl.add_argument("--round-minutes", type=float, default=10.0,
                        help="simulated minutes per append round; each round "
                             "ends in a commit (the crash-durability point)")
@@ -992,19 +933,20 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--compact-every", type=int, default=None,
                        help="auto-compact the shard directory whenever it "
                             "exceeds this many committed round files "
-                            "(streaming, bounded-memory; shard-dir --out "
-                            "only; followers re-open on the generation bump)")
+                            "(streaming, bounded-memory; followers re-open "
+                            "on the generation bump)")
     crawl.set_defaults(func=_cmd_crawl)
 
     convert = sub.add_parser(
         "convert", help="transcode a trace between csv/jsonl/rtrc (suffix decides)"
     )
-    convert.add_argument("input", help="source trace (.csv[.gz], .jsonl[.gz], .rtrc[.gz])")
+    convert.add_argument("input", help="source trace (.csv[.gz], .jsonl[.gz], "
+                                       ".rtrc[.gz], or a shard directory)")
     convert.add_argument("output", help="destination trace; format from suffix")
     convert.set_defaults(func=_cmd_convert)
 
     analyze = sub.add_parser("analyze", help="compute the paper's metrics from a trace")
-    analyze.add_argument("trace")
+    analyze.add_argument("trace", help="trace file or shard directory")
     analyze.add_argument("--range", type=float, action="append",
                          help="communication range(s) in meters (repeatable)")
     analyze.add_argument("--every", type=int, default=6,
@@ -1034,8 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "port; bind a routable address to attach "
                               "workers from other machines)")
     analyze.add_argument("--follow", action="store_true",
-                         help="tail a growing .rtrc store or shard "
-                              "directory: re-read after each commit and "
+                         help="tail a growing shard directory: re-read "
+                              "after each commit and "
                               "extend contact/session results incrementally "
                               "(ignores --shards; honours --backend)")
     analyze.add_argument("--poll", type=float, default=2.0,
@@ -1052,9 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
              "accepting crawl rounds via POST",
     )
     serve.add_argument("stores", nargs="+", metavar="[NAME=]PATH",
-                       help="store(s) to serve: appendable .rtrc files or "
-                            "shard directories; NAME= overrides the URL "
-                            "segment (default: basename without .rtrc)")
+                       help="shard director(ies) to serve; NAME= overrides "
+                            "the URL segment (default: the basename)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8700,
@@ -1103,7 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
              "parallel workers",
     )
     shard_export.add_argument("input",
-                              help="source trace (.csv[.gz], .jsonl[.gz], .rtrc[.gz])")
+                              help="source trace (.csv[.gz], .jsonl[.gz], "
+                                   ".rtrc[.gz], or a shard directory)")
     shard_export.add_argument("outdir", help="destination directory")
     shard_export.add_argument("--shards", type=int, required=True,
                               help="number of contiguous time shards to write")
@@ -1113,20 +1055,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = sub.add_parser(
         "compact",
-        help="fold append-round shard files into balanced shards, or trim "
-             "the capacity slack of an appendable .rtrc store (only after "
-             "the crawl writing it has finished — a live appender keeps "
-             "writing to the pre-compaction file)",
+        help="fold a shard directory's append-round files into balanced "
+             "shards, with optional retention and gzip tiering",
     )
     compact.add_argument("store",
-                         help="a shard directory (crawled round by round) "
-                              "or an appendable plain .rtrc store")
+                         help="a shard directory (crawled round by round)")
     compact.add_argument("--shards", type=int, default=1,
-                         help="shard count for a compacted directory "
-                              "(default 1; ignored for single files)")
+                         help="shard count for the compacted directory "
+                              "(default 1)")
     compact.add_argument("--gzip", action="store_true",
-                         help="write compacted directory shards as .rtrc.gz "
-                              "(not memmappable; ignored for single files)")
+                         help="write compacted shards as .rtrc.gz "
+                              "(not memmappable)")
     compact.add_argument("--max-round-files", type=int, default=None,
                          help="only compact a directory holding more than "
                               "this many files (makes the command an "
@@ -1176,7 +1115,11 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point for ``slmob`` and ``python -m repro``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TraceFormatError as exc:
+        print(f"cannot load trace: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

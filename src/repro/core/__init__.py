@@ -28,10 +28,7 @@ from repro.core.contacts import (
     extract_contact_set,
     extract_contact_sets_multirange,
     extract_contacts,
-    extract_contacts_loop,
     extract_contacts_multirange,
-    extract_contacts_multirange_loop,
-    extract_contacts_reference,
     first_contact_times,
     inter_contact_times,
     iter_snapshot_pairs,
@@ -82,10 +79,7 @@ __all__ = [
     "extract_contact_set",
     "extract_contact_sets_multirange",
     "extract_contacts",
-    "extract_contacts_loop",
     "extract_contacts_multirange",
-    "extract_contacts_multirange_loop",
-    "extract_contacts_reference",
     "multirange_contact_sets",
     "LiveAnalyzer",
     "StoreChangedError",

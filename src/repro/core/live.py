@@ -1,8 +1,7 @@
-"""Live incremental analysis over a growing ``.rtrc`` store or shard dir.
+"""Live incremental analysis over a growing shard directory.
 
-A streaming crawl (:class:`~repro.trace.RtrcAppender`,
-:class:`~repro.trace.RtrcDirAppender`) extends its store while the
-measurement is still running; re-running a whole-trace
+A streaming crawl (:class:`~repro.trace.RtrcDirAppender`) extends its
+store while the measurement is still running; re-running a whole-trace
 :class:`~repro.core.analyzer.TraceAnalyzer` after every commit would
 re-extract the entire past for each new minute of data.
 :class:`LiveAnalyzer` instead treats the store's growth history as a
@@ -16,21 +15,16 @@ answers are therefore bit-for-bit what a full recompute over the
 current prefix would produce — pinned against the serial oracle by
 ``tests/unit/core/test_live.py`` and ``test_live_shard_dir.py``.
 
-Two inputs are followed:
+Each committed append round already *is* an immutable
+``shard-*.rtrc`` file, so every new file becomes one part and, under
+``backend="process"``, workers memmap-load the round files directly:
+the crawl's own output doubles as the parallel work-distribution
+format, nothing is re-materialized.
 
-* a single appendable ``.rtrc`` **file** — each growing refresh turns
-  the newly appended snapshot span into one part (a zero-copy view of
-  the re-memmapped store);
-* a **shard directory** — each committed append round already *is* an
-  immutable ``shard-*.rtrc`` file, so every new file becomes one part
-  and, under ``backend="process"``, workers memmap-load the round
-  files directly: the crawl's own output doubles as the parallel
-  work-distribution format, nothing is re-materialized.
-
-The one contract both producers guarantee and this class relies on:
-the store is **append-only** — committed snapshots (and committed
-shard files) never change, new ones only arrive at the end.  A store
-that shrank or rewrote its past is rejected on refresh.
+The one contract the producer guarantees and this class relies on:
+the directory is **append-only** — committed shard files never
+change, new ones only arrive at the end of the manifest.  A directory
+whose committed file list changed is rejected on refresh.
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ from repro.trace import (
     Trace,
     TraceMetadata,
     list_rtrc_dir,
-    read_store_rtrc,
     read_trace_rtrc,
 )
 
@@ -62,45 +55,41 @@ __all__ = ["LiveAnalyzer", "StoreChangedError"]
 
 
 class LiveAnalyzer(BoundaryMergeAnalyzer):
-    """Incrementally extend analyses as an ``.rtrc`` store grows.
+    """Incrementally extend analyses as a shard directory grows.
 
     Parameters
     ----------
     path:
-        The store to follow: a single appendable ``.rtrc`` file, or a
-        shard directory an :class:`~repro.trace.RtrcDirAppender` is
-        committing rounds into (an existing directory selects shard-dir
-        mode).  Either may be empty (a crawl that has not committed
-        yet): analyses over zero snapshots return empty
+        The shard directory an :class:`~repro.trace.RtrcDirAppender`
+        is committing rounds into.  It may be empty (a crawl that has
+        not committed yet): analyses over zero snapshots return empty
         contact/session lists, and the first :meth:`refresh` that sees
-        data makes them live.
+        data makes them live.  A single ``.rtrc`` file is write-once
+        and is analyzed with :class:`~repro.core.TraceAnalyzer`
+        instead; ``slmob shard-export`` turns one into a directory.
     mmap:
-        Memory-map the store on every refresh (the default).  Pass
-        False to load copies instead — only useful on filesystems
-        without mmap support.
+        Memory-map the round files (the default).  Pass False to load
+        copies instead — only useful on filesystems without mmap
+        support.
     backend:
         Where the per-part extractions run when more than one part
         needs work.  ``"serial"`` (default) — inline, one part at a
         time.  ``"thread"`` — a thread pool over the part views; the
         run-length extraction kernels are numpy-bound and release the
-        GIL, so parts overlap.  ``"process"`` —
-        spawned workers memmap-load one ``.rtrc`` file per part: in
-        shard-dir mode the committed round files are used as-is; in
-        single-file mode each growth part is materialized once into a
-        scheduler-private temp file.  ``"network"`` — the same part
-        files served over an HTTP coordinator to ``slmob worker``
-        processes (see ``network`` below).  Parallelism pays off when
-        several parts need extraction at once — a follower catching up
-        on a long crawl, or the first request for a new parameter
-        backfilling every committed round.
+        GIL, so parts overlap.  ``"process"`` — spawned workers
+        memmap-load the committed round files as-is.  ``"network"`` —
+        the same round files served over an HTTP coordinator to
+        ``slmob worker`` processes (see ``network`` below).
+        Parallelism pays off when several parts need extraction at
+        once — a follower catching up on a long crawl, or the first
+        request for a new parameter backfilling every committed round.
     max_workers:
         Pool cap for the parallel backends (default: CPU count).
     network:
         Optional :class:`~repro.distributed.NetworkOptions` for
-        ``backend="network"`` — the same part files (round files, in
-        dir mode) served over an HTTP coordinator to ``slmob worker``
-        processes, possibly on other machines.  Ignored by the other
-        backends.
+        ``backend="network"`` — the same round files served over an
+        HTTP coordinator to ``slmob worker`` processes, possibly on
+        other machines.  Ignored by the other backends.
 
     Usage
     -----
@@ -111,7 +100,7 @@ class LiveAnalyzer(BoundaryMergeAnalyzer):
     ``zone_occupation`` / ``degree_array`` / ``diameter_array`` /
     ``clustering_array``::
 
-        live = LiveAnalyzer("crawl.rtrc")
+        live = LiveAnalyzer("crawl-shards")
         while crawling:
             if live.refresh():
                 print(len(live.contacts(10.0)), "contacts so far")
@@ -140,12 +129,19 @@ class LiveAnalyzer(BoundaryMergeAnalyzer):
                 f"unknown backend {backend!r}; expected one of "
                 f"{SCHEDULER_BACKENDS}"
             )
-        super().__init__()
         self.path = Path(path)
+        if not self.path.is_dir():
+            if not self.path.exists():
+                raise FileNotFoundError(f"{self.path}: no such shard directory")
+            raise ValueError(
+                f"{self.path} is a single trace file, which never grows; "
+                "analyze it with TraceAnalyzer, or turn it into a shard "
+                "directory with 'slmob shard-export' and follow that"
+            )
+        super().__init__()
         self._label = str(self.path)
         self._mmap = bool(mmap)
         self.backend = backend
-        self._dir = self.path.is_dir()
         self.metadata: TraceMetadata = TraceMetadata()
         # (kind, part_index, params) -> task result; the incremental
         # heart — parts never change, so their results never expire.
@@ -153,100 +149,52 @@ class LiveAnalyzer(BoundaryMergeAnalyzer):
         self._scheduler = PartScheduler(
             backend, max_workers, file_prefix="round", network=network
         )
-        if self._dir:
-            self._known_files: list[str] = []
-            # Per non-empty round file: (path, first_time, length).
-            # Only metadata is retained — part traces are reopened
-            # lazily, so a follower of a months-long crawl does not
-            # hold one memmap (and file descriptor) per round forever.
-            self._part_paths: list[Path] = []
-            self._part_meta: list[tuple[float, int]] = []
-            self._dir_names: list[str] = []
-            self._snapshots = 0
-            self._observations = 0
-            self._last_time = float("-inf")
-        else:
-            self._store = None
-            # Snapshot indices cutting the store into growth parts:
-            # part i covers snapshots [_edges[i], _edges[i + 1]).
-            self._edges: list[int] = [0]
-            # Guard against a store whose past was rewritten: the last
-            # committed snapshot time must never change between
-            # refreshes.
-            self._last_edge_time: float | None = None
+        self._known_files: list[str] = []
+        # Per non-empty round file: (path, first_time, length).
+        # Only metadata is retained — part traces are reopened
+        # lazily, so a follower of a months-long crawl does not
+        # hold one memmap (and file descriptor) per round forever.
+        self._part_paths: list[Path] = []
+        self._part_meta: list[tuple[float, int]] = []
+        self._dir_names: list[str] = []
+        self._snapshots = 0
+        self._observations = 0
+        self._last_time = float("-inf")
         self.refresh()
 
     # -- lifecycle ----------------------------------------------------------
 
     def _release(self) -> None:
-        """Drop the memmaps and the pool; cached merged results survive.
+        """Drop the pool; cached merged results survive.
 
         New analyses and refreshes raise afterwards — the contract
         shared with :class:`~repro.core.windowed.WindowedAnalyzer` and
         :class:`~repro.core.sharded.ShardedAnalyzer`.
         """
-        if not self._dir:
-            self._store = None
         self._scheduler.close()
-
-    def _open_store(self):
-        self._check_open()
-        return self._store
 
     # -- growth tracking ----------------------------------------------------
 
     def refresh(self) -> int:
         """Observe the producer's commits; returns how many new snapshots.
 
-        New snapshots become new parts (one per growth span or per
-        committed shard file); analyses requested afterwards extract
-        only those parts and re-merge.  A refresh that observes no
-        growth is free and invalidates nothing.  Raises
-        :class:`StoreChangedError` if the store shrank or its
-        committed prefix changed — the append-only contract is broken
-        and incremental results would be silently wrong.
-        """
-        self._check_open()
-        grown = self._refresh_dir() if self._dir else self._refresh_file()
-        if grown:
-            # Merged results are stale; the per-part task cache is not.
-            self._contacts.clear()
-            self._sessions.clear()
-            self._samples.clear()
-        return grown
+        New snapshots become new parts (one per committed non-empty
+        shard file); analyses requested afterwards extract only those
+        parts and re-merge.  A refresh that observes no growth is free
+        and invalidates nothing.  Raises :class:`StoreChangedError` if
+        the committed file list changed — the append-only contract is
+        broken and incremental results would be silently wrong.
 
-    def _refresh_file(self) -> int:
-        store, metadata = read_store_rtrc(self.path, mmap=self._mmap)
-        known = self._edges[-1]
-        if store.snapshot_count < known:
-            raise StoreChangedError(
-                f"{self.path}: store shrank from {known} to "
-                f"{store.snapshot_count} snapshots; LiveAnalyzer requires "
-                "an append-only store"
-            )
-        if known and self._last_edge_time is not None:
-            if float(store.times[known - 1]) != self._last_edge_time:
-                raise StoreChangedError(
-                    f"{self.path}: committed snapshots changed under the "
-                    "analyzer; LiveAnalyzer requires an append-only store"
-                )
-        self._store = store
-        self.metadata = metadata
-        grown = store.snapshot_count - known
-        if grown:
-            self._edges.append(store.snapshot_count)
-            self._last_edge_time = float(store.times[store.snapshot_count - 1])
-        return grown
-
-    def _refresh_dir(self) -> int:
-        """All-or-nothing: no state changes unless every new file loads.
-
+        All-or-nothing: no state changes unless every new file loads.
         A mid-loop failure (torn read racing a commit, a file deleted
         by a concurrent compaction) must not leave some parts
         registered while the merged caches still describe the old
         part set — the CLI retries ``TraceFormatError`` and would
         otherwise serve an internally inconsistent view.
         """
+        self._check_open()
+        if not self.path.is_dir():
+            raise FileNotFoundError(f"{self.path}: shard directory is gone")
         files = list_rtrc_dir(self.path)
         known = self._known_files
         if files[: len(known)] != known:
@@ -306,79 +254,63 @@ class LiveAnalyzer(BoundaryMergeAnalyzer):
         self._last_time = last_time
         self._snapshots += snapshots
         self._observations += observations
+        if snapshots:
+            # Merged results are stale; the per-part task cache is not.
+            self._contacts.clear()
+            self._sessions.clear()
+            self._samples.clear()
         return snapshots
 
     @property
     def snapshot_count(self) -> int:
         """Snapshots observed as of the last refresh."""
-        return self._snapshots if self._dir else self._edges[-1]
+        return self._snapshots
 
     @property
     def observation_count(self) -> int:
         """Observation rows observed as of the last refresh."""
-        if self._dir:
-            return self._observations
-        return self._open_store().observation_count
+        return self._observations
 
     @property
     def part_count(self) -> int:
-        """Growth parts observed so far.
-
-        One per growing refresh for a single file; one per committed
-        non-empty shard file for a shard directory.
-        """
-        if self._dir:
-            return len(self._part_paths)
-        return len(self._edges) - 1
-
-    @property
-    def is_shard_dir(self) -> bool:
-        """Whether the followed store is a shard directory."""
-        return self._dir
+        """Growth parts observed so far: one per committed non-empty
+        shard file."""
+        return len(self._part_paths)
 
     @property
     def committed_file_count(self) -> int:
-        """Committed shard files observed (0 in single-file mode).
+        """Committed shard files observed.
 
         Unlike :attr:`part_count` this counts *empty* committed rounds
         too, so together with the manifest generation it tags exactly
         the committed prefix this follower has observed — the query
         service's cache-invalidation token.
         """
-        return len(self._known_files) if self._dir else 0
+        return len(self._known_files)
 
     # -- BoundaryMergeAnalyzer plumbing -------------------------------------
 
     def _part_trace(self, index: int) -> Trace:
-        if self._dir:
-            # Reopened on demand (a header parse, not a load): holding
-            # one memmap per committed round would leak an fd per
-            # round over a long crawl.
-            self._check_open()
-            return read_trace_rtrc(self._part_paths[index], mmap=self._mmap)
-        store = self._open_store()
-        lo, hi = self._edges[index], self._edges[index + 1]
-        return Trace.from_columns(store.slice_snapshots(lo, hi), self.metadata)
+        # Reopened on demand (a header parse, not a load): holding one
+        # memmap per committed round would leak an fd per round over a
+        # long crawl.
+        self._check_open()
+        return read_trace_rtrc(self._part_paths[index], mmap=self._mmap)
 
-    def _part_file(self, index: int) -> Path | None:
-        """The on-disk file already holding part ``index``, if any.
+    def _part_file(self, index: int) -> Path:
+        """The committed round file holding part ``index``.
 
-        In shard-dir mode every part is a committed round file —
-        process workers memmap it directly.  Single-file parts are
-        views into one big store, so the scheduler materializes them.
+        Process workers memmap it directly.
         """
-        return self._part_paths[index] if self._dir else None
+        return self._part_paths[index]
 
     @property
     def _names(self) -> Sequence[str]:
-        if self._dir:
-            # Round k's user table is a prefix of round k+1's (the
-            # appender interns cumulatively; validated on refresh for
-            # the process backend), so the newest table decodes every
-            # earlier part's ids too.
-            return self._dir_names
-        store = self._open_store()
-        return store.users.names
+        # Round k's user table is a prefix of round k+1's (the appender
+        # interns cumulatively; validated on refresh for the process
+        # backend), so the newest table decodes every earlier part's
+        # ids too.
+        return self._dir_names
 
     def _part_error(self, index: int, kind: str, exc: Exception):
         trace = self._part_trace(index)
@@ -429,12 +361,7 @@ class LiveAnalyzer(BoundaryMergeAnalyzer):
         return super()._strided_samples(kind, head, every)
 
     def _part_first_times(self) -> list[float]:
-        if self._dir:
-            return [first for first, _ in self._part_meta]
-        store = self._open_store()
-        return [float(store.times[lo]) for lo in self._edges[:-1]]
+        return [first for first, _ in self._part_meta]
 
     def _part_lengths(self) -> list[int]:
-        if self._dir:
-            return [length for _, length in self._part_meta]
-        return np.diff(np.asarray(self._edges, dtype=np.int64)).tolist()
+        return [length for _, length in self._part_meta]

@@ -269,7 +269,7 @@ class World:
         avatars, same order): streaming monitors feed these straight
         into :meth:`Snapshot.from_arrays
         <repro.trace.Snapshot.from_arrays>` and on to an
-        :class:`~repro.trace.RtrcAppender`, skipping the dict-of-
+        :class:`~repro.trace.RtrcDirAppender`, skipping the dict-of-
         ``Position`` round trip on the per-sample hot path.
         """
         avatars = list(self._online.values())

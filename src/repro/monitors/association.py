@@ -53,7 +53,7 @@ class AssociationMonitor(Monitor):
         Maximum avatar–AP distance for an association, meters.
     sink:
         Optional streaming target (an
-        :class:`~repro.trace.RtrcAppender`-shaped object).  With a
+        :class:`~repro.trace.RtrcDirAppender`-shaped object).  With a
         sink the monitor is non-buffering: snapshots go to disk as
         they are taken and :meth:`trace` is unavailable — follow the
         sink's store instead.

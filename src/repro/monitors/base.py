@@ -88,7 +88,7 @@ def stream_monitors(
     advances ``round_seconds`` at a time and the generator yields
     ``world.now`` after each round, handing control back to the caller
     — the crawl loop uses the gap to commit its
-    :class:`~repro.trace.RtrcAppender` sink and refresh a
+    :class:`~repro.trace.RtrcDirAppender` sink and refresh a
     :class:`~repro.core.live.LiveAnalyzer`, so the trace on disk grows
     (and stays analyzable) while the measurement is still running.
 
@@ -122,7 +122,7 @@ class GroundTruthMonitor(Monitor):
     against it.
 
     Like :class:`~repro.monitors.crawler.Crawler`, an optional
-    ``sink`` (an :class:`~repro.trace.RtrcAppender`) switches the
+    ``sink`` (an :class:`~repro.trace.RtrcDirAppender`) switches the
     monitor to streaming mode: samples go to disk as they are taken
     and :meth:`trace` is unavailable — follow the sink's file instead.
     """

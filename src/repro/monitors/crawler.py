@@ -56,7 +56,7 @@ class Crawler(Monitor):
     name:
         The crawler avatar's user id on the land.
     sink:
-        Optional :class:`~repro.trace.RtrcAppender` (or anything with
+        Optional :class:`~repro.trace.RtrcDirAppender` (or anything with
         its ``append_snapshot`` shape).  When given, the crawler runs
         in *streaming* mode: every snapshot goes to the sink as it is
         taken, nothing is buffered in RAM, and :meth:`trace` is

@@ -14,7 +14,7 @@ Streaming mode
 
 The paper's crawler ran for *days*; holding every observation in the
 write buffer does not scale to that.  Constructed with a ``sink`` (an
-:class:`~repro.trace.RtrcAppender` or anything with its
+:class:`~repro.trace.RtrcDirAppender` or anything with its
 ``append_snapshot(time, names, coords)`` shape) and ``buffer=False``,
 the database forwards each whole snapshot to the sink as it arrives
 and retains only counters — the trace lives on disk, growing with the

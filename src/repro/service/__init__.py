@@ -1,7 +1,7 @@
 """The mobility-analytics query service.
 
 The network half of the reproduction: :class:`QueryService` serves
-cached JSON analytics over live ``.rtrc`` stores
+cached JSON analytics over live shard directories
 (:mod:`repro.service.server`), :class:`HttpRoundSink` streams a
 crawler's committed rounds into it over HTTP
 (:mod:`repro.service.client`), and :mod:`repro.service.encoding`

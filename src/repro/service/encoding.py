@@ -132,7 +132,6 @@ def status_payload(
     *,
     store: str,
     path: str,
-    shard_dir: bool,
     snapshots: int,
     observations: int,
     parts: int,
@@ -140,12 +139,16 @@ def status_payload(
     metadata: TraceMetadata,
     ingest: bool,
 ) -> dict:
-    """One store's status document (``GET /v1/<store>``)."""
+    """One store's status document (``GET /v1/<store>``).
+
+    ``shard_dir`` is always true — every served store is a shard
+    directory — and stays in the document for existing clients.
+    """
     return {
         "kind": "status",
         "store": store,
         "path": path,
-        "shard_dir": shard_dir,
+        "shard_dir": True,
         "snapshots": int(snapshots),
         "observations": int(observations),
         "parts": int(parts),

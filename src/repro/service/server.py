@@ -4,8 +4,8 @@
 network system, the shape the paper's own measurement pipeline had
 (sensors POST slices to a rate-limited web server, analysts query a
 web application over the database).  One server process holds a
-:class:`~repro.core.live.LiveAnalyzer` follower per configured store
-— appendable ``.rtrc`` files or shard directories — and answers JSON
+:class:`~repro.core.live.LiveAnalyzer` follower per configured shard
+directory and answers JSON
 queries over HTTP (stdlib ``http.server``; no new dependencies):
 
 ====================================  =====================================
@@ -24,13 +24,12 @@ Caching and invalidation
 Every query refreshes the store's follower (free when nothing was
 committed) and is answered from a per-``(kind, params)`` cache of
 encoded responses.  Cache entries are tagged with the store's
-*generation tag* — for a shard directory the ``manifest.json``
-compaction generation plus the committed-file count
-(:func:`~repro.trace.shard_dir_generation`), for a single file the
-committed snapshot count — which changes on exactly the events that
-can change an answer.  The tag doubles as the HTTP ``ETag``: a client
-replaying a query with ``If-None-Match`` gets ``304 Not Modified``
-until the next commit (or compaction) bumps the tag.
+*generation tag* — the ``manifest.json`` compaction generation plus
+the committed-file count (:func:`~repro.trace.shard_dir_generation`)
+— which changes on exactly the events that can change an answer.
+The tag doubles as the HTTP ``ETag``: a client replaying a query with
+``If-None-Match`` gets ``304 Not Modified`` until the next commit (or
+compaction) bumps the tag.
 
 A compaction racing a follower raises
 :class:`~repro.core.live.StoreChangedError`; the service degrades by
@@ -160,15 +159,15 @@ class _StoreHandle:
 
 
 class QueryService:
-    """Serve cached mobility analytics over live ``.rtrc`` stores.
+    """Serve cached mobility analytics over live shard directories.
 
     Parameters
     ----------
     stores:
-        ``{name: path}`` of the stores to follow; ``name`` becomes the
-        URL segment (``/v1/<name>/...``).  Paths may be appendable
-        ``.rtrc`` files or shard directories; with ``ingest`` enabled a
-        missing suffix-less path is created as a fresh shard directory.
+        ``{name: path}`` of the shard directories to follow; ``name``
+        becomes the URL segment (``/v1/<name>/...``).  With ``ingest``
+        enabled a missing suffix-less path is created as a fresh shard
+        directory.
     host / port:
         Bind address; port 0 picks a free port (read :attr:`address`
         after :meth:`start`).
@@ -177,9 +176,8 @@ class QueryService:
         (``serial``/``thread``/``process``), as in
         :class:`~repro.core.live.LiveAnalyzer`.
     ingest:
-        Enable ``POST /v1/<store>/rounds``.  Only shard-directory
-        stores accept ingest, and the service's appender must then be
-        the directory's only writer.
+        Enable ``POST /v1/<store>/rounds``.  The service's appender
+        must then be the directory's only writer.
     cache_results:
         Keep the per-``(kind, params)`` encoded-response cache
         (default).  ``False`` rebuilds and re-encodes every response —
@@ -268,8 +266,7 @@ class QueryService:
         handle.live = LiveAnalyzer(
             handle.path, mmap=self._mmap, backend=self._backend
         )
-        if handle.live.is_shard_dir:
-            handle.generation = shard_dir_generation(handle.path)[0]
+        handle.generation = shard_dir_generation(handle.path)[0]
         handle.cache.clear()
 
     def _refresh(self, handle: _StoreHandle) -> None:
@@ -293,11 +290,8 @@ class QueryService:
                 self.stats.reopened_followers += 1
 
     def _etag(self, handle: _StoreHandle) -> str:
-        live = handle.live
-        assert live is not None
-        if live.is_shard_dir:
-            return f'"g{handle.generation}-{live.committed_file_count}"'
-        return f'"s{live.snapshot_count}"'
+        assert handle.live is not None
+        return f'"g{handle.generation}-{handle.live.committed_file_count}"'
 
     # -- server lifecycle ----------------------------------------------------
 
@@ -419,7 +413,7 @@ class QueryService:
                 assert live is not None
                 stores[name] = {
                     "path": str(handle.path),
-                    "shard_dir": live.is_shard_dir,
+                    "shard_dir": True,
                     "snapshots": live.snapshot_count,
                     "etag": self._etag(handle),
                 }
@@ -521,13 +515,12 @@ class QueryService:
             return status_payload(
                 store=handle.name,
                 path=str(handle.path),
-                shard_dir=live.is_shard_dir,
                 snapshots=snapshots,
                 observations=live.observation_count,
                 parts=live.part_count,
                 etag=etag,
                 metadata=live.metadata,
-                ingest=self.ingest and live.is_shard_dir,
+                ingest=self.ingest,
             )
         if kind == "contacts":
             return contacts_payload(
@@ -577,13 +570,6 @@ class QueryService:
         if not self.ingest:
             raise ServiceError(
                 405, "ingest is disabled; start the service with ingest enabled"
-            )
-        assert handle.live is not None
-        if not handle.live.is_shard_dir:
-            raise ServiceError(
-                405,
-                f"store {handle.name!r} is a single .rtrc file; HTTP ingest "
-                "needs a shard-directory store",
             )
         times, names, blocks, metadata = self._parse_round(body)
         records = sum(len(n) for n in names)

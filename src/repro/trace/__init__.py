@@ -17,12 +17,9 @@ from repro.trace.columnar import (
 from repro.trace.records import PositionRecord, Snapshot
 from repro.trace.trace import Trace, TraceMetadata
 from repro.trace.storage import (
-    RtrcAppender,
     RtrcFormatError,
     StoreChangedError,
-    StoreInUseError,
     TraceFormatError,
-    compact_rtrc_store,
     read_rtrc_header,
     read_store_rtrc,
     read_trace_rtrc,
@@ -60,7 +57,6 @@ from repro.trace.sessions import (
     UserSession,
     extract_session_set,
     extract_sessions,
-    extract_sessions_loop,
 )
 from repro.trace.validation import TraceIssue, validate_trace
 from repro.trace.synth import (
@@ -80,12 +76,9 @@ __all__ = [
     "Snapshot",
     "Trace",
     "TraceMetadata",
-    "RtrcAppender",
     "RtrcFormatError",
     "StoreChangedError",
-    "StoreInUseError",
     "TraceFormatError",
-    "compact_rtrc_store",
     "read_rtrc_header",
     "read_store_rtrc",
     "read_trace_rtrc",
@@ -117,7 +110,6 @@ __all__ = [
     "UserSession",
     "extract_session_set",
     "extract_sessions",
-    "extract_sessions_loop",
     "TraceIssue",
     "validate_trace",
     "constant_positions_trace",

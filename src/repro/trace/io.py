@@ -9,7 +9,8 @@ suffix.
 
 The binary columnar format lives in :mod:`repro.trace.storage`
 (``.rtrc``, memory-mapped); :func:`read_trace` / :func:`write_trace`
-dispatch on the file suffix across all three formats.
+dispatch on the file suffix across all three formats, and
+:func:`read_trace` also loads a shard directory whole.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from repro.trace.columnar import ColumnarBuilder, ColumnarStore, store_from_records
+from repro.trace.sharding import concat_shards, read_rtrc_dir
 from repro.trace.storage import read_trace_rtrc, write_trace_rtrc
 from repro.trace.trace import Trace, TraceMetadata
 
@@ -234,7 +236,10 @@ def trace_format(path: str | Path) -> str:
 def read_trace(path: str | Path) -> Trace:
     """Read a trace in any supported format, dispatching on the suffix.
 
-    The format rules of :func:`trace_format` apply: ``.rtrc[.gz]`` is
+    A directory is a shard directory (a crawl's committed rounds, or
+    :func:`~repro.trace.to_rtrc_dir` output) and loads as the
+    concatenation of its shard files in manifest order.  Otherwise
+    the format rules of :func:`trace_format` apply: ``.rtrc[.gz]`` is
     the binary columnar format (memory-mapped when not gzipped —
     loading costs a header parse and the data pages fault in lazily),
     ``.jsonl[.gz]`` is one snapshot per line, and anything else is
@@ -247,6 +252,8 @@ def read_trace(path: str | Path) -> Trace:
     with one caveat: CSV quantizes coordinates and times through the
     ``%.3f`` text format.
     """
+    if Path(path).is_dir():
+        return concat_shards(read_rtrc_dir(path))
     fmt = trace_format(path)
     if fmt == "rtrc":
         return read_trace_rtrc(path)
@@ -263,9 +270,8 @@ def write_trace(trace: Trace, path: str | Path) -> Path:
     processes are memmapping is safe (they keep their old view); the
     text writers stream in place.  A trailing ``.gz`` gzips any
     format (a gzipped ``.rtrc`` loads in memory instead of
-    memmapping, and cannot be appended to).  To *grow* a trace on
-    disk instead of rewriting it, use
-    :class:`~repro.trace.RtrcAppender`.
+    memmapping).  To *grow* a trace on disk round by round instead
+    of rewriting it, use :class:`~repro.trace.RtrcDirAppender`.
     """
     fmt = trace_format(path)
     if fmt == "rtrc":

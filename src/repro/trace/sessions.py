@@ -356,42 +356,3 @@ def extract_sessions(
         sampling interval.
     """
     return extract_session_set(trace, gap_threshold).sessions()
-
-
-def extract_sessions_loop(
-    trace: Trace,
-    gap_threshold: float | None = None,
-) -> list[UserSession]:
-    """The original per-run object builder, kept as oracle/baseline.
-
-    Same grouping argsort as :func:`extract_session_set`, but each run
-    is boxed into a :class:`UserSession` immediately and the final
-    ordering is a Python object sort — the benchmark baseline the
-    columnar path is measured against.
-    """
-    if gap_threshold is None:
-        gap_threshold = 2.0 * trace.metadata.tau
-    if gap_threshold <= 0:
-        raise ValueError(f"gap threshold must be positive, got {gap_threshold}")
-
-    cols = trace.columns
-    if cols.observation_count == 0:
-        return []
-    order = np.argsort(cols.user_ids, kind="stable")
-    uids = cols.user_ids[order]
-    times = cols.row_times()[order]
-    xyz = cols.xyz[order]
-
-    breaks = np.empty(len(uids), dtype=bool)
-    breaks[0] = True
-    breaks[1:] = (uids[1:] != uids[:-1]) | (np.diff(times) > gap_threshold)
-    starts = np.flatnonzero(breaks)
-    ends = np.append(starts[1:], len(uids))
-
-    names = cols.users.names
-    sessions = [
-        UserSession._from_arrays(names[uids[lo]], times[lo:hi], xyz[lo:hi])
-        for lo, hi in zip(starts, ends)
-    ]
-    sessions.sort(key=lambda s: (s.login_time, s.user))
-    return sessions

@@ -275,7 +275,9 @@ def read_rtrc_dir(directory: str | Path, mmap: bool = True) -> list[Trace]:
     source = Path(directory)
     files = list_rtrc_dir(source)
     if not files:
-        raise TraceFormatError(f"{source}: no shard files found")
+        raise TraceFormatError(
+            f"{source}: not a shard directory — no shard files found"
+        )
     shards = []
     for name in files:
         try:
@@ -359,16 +361,15 @@ def concat_shards(shards: Sequence[Trace]) -> Trace:
 class RtrcDirAppender:
     """Stream a crawl into a shard *directory*: one file per round.
 
-    The single-file :class:`~repro.trace.RtrcAppender` grows one store
-    in place; this is its fan-out-friendly sibling — every committed
-    append round becomes a brand-new immutable ``shard-*.rtrc`` file
-    plus an atomic ``manifest.json`` swap.  Because committed rounds
-    never change, a long-running crawl is analyzable *in parallel
-    while it grows*: process workers memmap-load the round files
-    directly (:class:`~repro.core.live.LiveAnalyzer` with
-    ``backend="process"`` reuses them as its part files — nothing is
-    re-materialized), and readers racing an append only ever see fully
-    written files through the previous or the next manifest.
+    This is the only live store: every committed append round becomes
+    a brand-new immutable ``shard-*.rtrc`` file plus an atomic
+    ``manifest.json`` swap.  Because committed rounds never change, a
+    long-running crawl is analyzable *in parallel while it grows*:
+    process workers memmap-load the round files directly
+    (:class:`~repro.core.live.LiveAnalyzer` with ``backend="process"``
+    reuses them as its part files — nothing is re-materialized), and
+    readers racing an append only ever see fully written files through
+    the previous or the next manifest.
 
     Parameters
     ----------
@@ -393,8 +394,7 @@ class RtrcDirAppender:
         When True every commit fsyncs the round file and the
         directory before, and the manifest after, the swap — making
         the commit durable against power loss, not just process
-        crash (the same knob :class:`~repro.trace.RtrcAppender`
-        offers).  Off by default: the crawl loop favours throughput,
+        crash.  Off by default: the crawl loop favours throughput,
         and a torn commit is recovered on reopen either way.
     policy:
         Optional :class:`CompactionPolicy`.  When set, every commit is
@@ -403,8 +403,7 @@ class RtrcDirAppender:
         the appender re-adopts each swapped manifest so the crawl just
         keeps going — followers see the generation bump and re-open.
 
-    Usage mirrors :class:`~repro.trace.RtrcAppender` — it is a drop-in
-    monitor sink::
+    It is the monitors' streaming sink::
 
         with RtrcDirAppender("crawl-shards/", metadata=meta) as out:
             for t, names, coords in observations:

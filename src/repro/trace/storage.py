@@ -33,32 +33,24 @@ region, so the header can be serialized without a fix-point iteration.
 A ``.rtrc.gz`` suffix gzips the same byte stream; compressed files
 cannot be memory-mapped and are loaded in memory instead.
 
-Appendable stores
------------------
+Reader tolerance
+----------------
 
-:class:`RtrcAppender` grows an ``.rtrc`` file snapshot by snapshot —
-the streaming-crawler workload — while keeping it readable by the
-plain loaders at every commit point.  Appendable files use the same
-preamble/header/section vocabulary with two relaxations readers
-already tolerate:
+The writers here always emit the tight layout above, but readers
+accept two relaxations so that stores written by earlier appendable
+crawls stay loadable:
 
-* the JSON header is padded with trailing spaces to a fixed *reserve*
-  (``header_length`` in the preamble names the reserved size), so the
-  data region never moves when the header is rewritten;
-* each section sits at a fixed offset with reserved *capacity* beyond
-  its committed shape (recorded under the header's ``"append"`` key,
-  which plain readers ignore), so appended rows land in pre-assigned
-  space instead of shifting later sections.
+* the JSON header may be padded with trailing spaces — the preamble's
+  ``header_length`` then names the padded size, and the data region
+  starts at the 64-byte boundary after it;
+* sections may sit at any 64-byte-aligned offsets with unused bytes
+  between them, since every section is located through its
+  ``offset`` alone.
 
-An append writes the new rows into the sections' tails first and only
-then rewrites the header in place with the grown shapes (the commit
-point).  A reader therefore always sees a consistent prefix: either
-the old header (whose sections were fully written long ago) or the new
-one (whose rows were written before the header).  A crash between the
-two leaves a *torn append* — bytes beyond the committed shapes — which
-reopening detects and truncates away.  When a capacity or the header
-reserve overflows, the whole file is rewritten (doubled) through the
-same temp-file-plus-rename dance :func:`write_store_rtrc` uses.
+Unknown header keys (such as those stores' ``"append"`` capacity
+record) are ignored.  Live crawls grow shard directories instead
+(:class:`~repro.trace.RtrcDirAppender`): every committed round is one
+write-once ``.rtrc`` file.
 """
 
 from __future__ import annotations
@@ -70,14 +62,9 @@ import struct
 import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
-
-try:  # advisory writer locks; absent on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover - POSIX-only dev/CI environments
-    fcntl = None  # type: ignore[assignment]
 
 from repro.trace.columnar import ColumnarStore, UserInterner
 from repro.trace.trace import Trace, TraceMetadata
@@ -104,24 +91,6 @@ _SECTION_DTYPES = (
 
 _METADATA_FIELDS = tuple(f.name for f in fields(TraceMetadata))
 
-#: Scalars per observation row in each section (xyz rows are 3-vectors).
-_ROW_WIDTH = {"times": 1, "snapshot_offsets": 1, "user_ids": 1, "xyz": 3}
-
-#: Per-row byte widths, derived from the pinned section dtypes.
-_ROW_NBYTES = {
-    name: np.dtype(dtype).itemsize * _ROW_WIDTH[name]
-    for name, dtype in _SECTION_DTYPES
-}
-
-#: Smallest snapshot-slot capacity an appendable store reserves.
-MIN_SNAPSHOT_CAPACITY = 64
-
-#: Smallest observation-row capacity an appendable store reserves.
-MIN_OBSERVATION_CAPACITY = 1024
-
-#: Smallest header reserve (bytes) of an appendable store.
-MIN_HEADER_RESERVE = 4096
-
 
 class TraceFormatError(ValueError):
     """A trace file is unreadable: wrong format, corrupt, or truncated.
@@ -135,27 +104,12 @@ class RtrcFormatError(TraceFormatError):
     """Raised when a file is not a readable rtrc trace."""
 
 
-class StoreInUseError(ValueError):
-    """A destructive store operation raced a live writer.
-
-    Raised when :func:`compact_rtrc_store` finds the target store
-    locked by a live :class:`RtrcAppender` (and vice versa: a second
-    appender opening an already-appended store).  Compacting under a
-    live appender would atomically swap a new inode into the path
-    while the appender keeps writing to the old, now-invisible file —
-    every round after the compaction would silently vanish.  The lock
-    is advisory (``flock``), held for the appender's whole lifetime,
-    and detection degrades to a no-op on platforms without ``fcntl``.
-    """
-
-
 class StoreChangedError(ValueError):
     """A live store broke the append-only contract under its holder.
 
     Raised in two places that share one failure shape: a
-    :class:`~repro.core.live.LiveAnalyzer` follower whose store
-    shrank, rewrote its committed prefix, or swapped its shard-file
-    list; and an :class:`~repro.trace.RtrcDirAppender` whose directory
+    :class:`~repro.core.live.LiveAnalyzer` follower whose shard
+    directory swapped its committed file list; and an :class:`~repro.trace.RtrcDirAppender` whose directory
     was compacted (generation bumped) between open and commit.  In
     both cases the on-disk store is still internally consistent —
     only *this holder's* in-memory history is stale — so long-running
@@ -475,664 +429,3 @@ def read_rtrc_header(path: str | Path) -> dict:
                 f"{header_length} bytes, file ends early"
             )
         return _parse_header(payload, source)
-
-
-def compact_rtrc_store(path: str | Path) -> tuple[Path, int]:
-    """Rewrite an ``.rtrc`` file tightly, dropping append slack.
-
-    An appendable store (:class:`RtrcAppender`) reserves section
-    capacity and header padding so appends never move data; a finished
-    crawl therefore carries dead bytes — up to half the file right
-    after a capacity doubling.  Compaction rewrites the committed
-    prefix as a tightly packed one-shot file through the usual
-    temp-file + atomic-rename dance, so concurrent memmap readers keep
-    their consistent view of the old inode and a crash leaves the
-    original untouched.  (The next open-for-append simply converts the
-    file back to the appendable layout.)
-
-    Returns ``(path, bytes_reclaimed)``; gzipped stores are rejected —
-    they carry no slack to trim.
-
-    A store a live :class:`RtrcAppender` has open cannot be compacted:
-    the rename would swap a new inode into the path, so the appender
-    would keep writing to the old, now-invisible file and every round
-    after the compaction would silently vanish.  The appender holds an
-    advisory ``flock`` on its store for exactly this reason, and this
-    function probes it — a locked store raises
-    :class:`StoreInUseError` instead of orphaning the appender's
-    inode.  (On platforms without ``fcntl`` the probe is a no-op and
-    the old compact-finished-crawls-only rule is on the caller.)
-    """
-    source = Path(path)
-    if _is_gzip(source):
-        raise ValueError(
-            f"{source}: gzipped rtrc stores have no append slack to compact"
-        )
-    guard = open(source, "rb")
-    try:
-        if fcntl is not None:
-            try:
-                fcntl.flock(guard.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError as exc:
-                raise StoreInUseError(
-                    f"{source}: a live RtrcAppender holds this store open; "
-                    "compacting now would orphan its inode and silently "
-                    "drop every later round — close the appender first"
-                ) from exc
-        before = source.stat().st_size
-        store, metadata = read_store_rtrc(source, mmap=True)
-        write_store_rtrc(store, metadata, source)
-    finally:
-        # Releasing the guard also releases the flock; it was held
-        # across the rename so no appender could open the old inode
-        # mid-compaction.
-        guard.close()
-    return source, before - source.stat().st_size
-
-
-# -- appendable stores ------------------------------------------------------
-
-
-def _capacity_layout(cap_s: int, cap_n: int) -> tuple[dict[str, int], int]:
-    """Section offsets of an appendable store — ``({name: offset}, end)``.
-
-    Each section is placed at the 64-byte boundary after the previous
-    section's *capacity* (not its committed shape), so committed rows
-    never move while appends fill the reserved space.
-    """
-    capacities = {
-        "times": cap_s * _ROW_NBYTES["times"],
-        "snapshot_offsets": (cap_s + 1) * _ROW_NBYTES["snapshot_offsets"],
-        "user_ids": cap_n * _ROW_NBYTES["user_ids"],
-        "xyz": cap_n * _ROW_NBYTES["xyz"],
-    }
-    offsets: dict[str, int] = {}
-    cursor = 0
-    for name, _ in _SECTION_DTYPES:
-        offsets[name] = _align(cursor)
-        cursor = offsets[name] + capacities[name]
-    return offsets, cursor
-
-
-def _grow_capacity(current: int, needed: int, minimum: int) -> int:
-    """Geometric (doubling) capacity growth covering ``needed`` rows."""
-    cap = max(current, minimum, 1)
-    while cap < needed:
-        cap *= 2
-    return cap
-
-
-class RtrcAppender:
-    """Append snapshots to an ``.rtrc`` store with crash-safe commits.
-
-    This is the streaming-ingestion counterpart of
-    :func:`write_trace_rtrc`: a crawler hands over snapshots as they
-    are observed and the store grows on disk instead of buffering the
-    whole trace in RAM.  The file stays loadable by
-    :func:`read_trace_rtrc` / :func:`read_store_rtrc` (memmap
-    included) at every commit point, and the committed prefix is
-    bit-for-bit identical to the same snapshots written in one shot.
-
-    Parameters
-    ----------
-    path:
-        The store to create or extend.  An existing one-shot ``.rtrc``
-        file is converted to the appendable layout (capacity headroom
-        plus a padded header reserve) on open; gzipped stores are
-        rejected — gzip streams cannot be extended in place.
-    metadata:
-        Trace metadata for a newly created store, or an override for
-        an existing one (written at the next commit).  When omitted,
-        an existing store keeps its header metadata and a new store
-        starts with the :class:`~repro.trace.TraceMetadata` defaults;
-        the :attr:`metadata` property can be assigned any time before
-        the final commit (monitors learn the land only on attach).
-    snapshot_capacity / observation_capacity:
-        Initial row capacities.  Capacities only set where the next
-        whole-file rewrite happens — exceeding one doubles it — so the
-        defaults are fine outside tests, which use tiny values to
-        exercise the growth path.
-    header_reserve:
-        Initial byte reserve for the JSON header (user table +
-        section shapes).  Grows like the capacities.
-    fsync:
-        When True every commit fsyncs data before and after the
-        header rewrite, making the commit point durable against power
-        loss, not just process crash.  Off by default: the paper's
-        crawl loop favours throughput, and a torn append is recovered
-        on reopen either way.
-
-    Crash safety
-    ------------
-    ``append_snapshot`` writes rows into the sections' reserved tails;
-    ``commit`` rewrites the JSON header in place with the grown
-    shapes.  The header rewrite is the commit point: a crash before it
-    leaves the old header describing the old, fully-written prefix,
-    and the torn row bytes beyond it are detected and truncated away
-    on the next open (:attr:`recovered_bytes`).  Readers that memmap
-    the file concurrently see a consistent committed prefix for the
-    same reason — appends only touch bytes beyond every committed
-    section shape.
-
-    Lifecycle
-    ---------
-    ``close()`` commits pending appends and releases the file handle;
-    the appender is unusable afterwards.  Use as a context manager::
-
-        with RtrcAppender("crawl.rtrc", metadata=meta) as out:
-            for time, names, coords in observations:
-                out.append_snapshot(time, names, coords)
-                out.commit()   # durable point, e.g. once per round
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        metadata: TraceMetadata | None = None,
-        *,
-        snapshot_capacity: int = MIN_SNAPSHOT_CAPACITY,
-        observation_capacity: int = MIN_OBSERVATION_CAPACITY,
-        header_reserve: int = MIN_HEADER_RESERVE,
-        fsync: bool = False,
-    ) -> None:
-        self.path = Path(path)
-        if _is_gzip(self.path):
-            raise ValueError(
-                f"{self.path}: cannot append to a gzipped rtrc store — "
-                "gzip streams are not extendable in place; append to the "
-                "plain .rtrc and compress afterwards"
-            )
-        if min(snapshot_capacity, observation_capacity, header_reserve) < 1:
-            raise ValueError("capacities and header reserve must be positive")
-        self._min_cap_s = int(snapshot_capacity)
-        self._min_cap_n = int(observation_capacity)
-        self._min_reserve = int(header_reserve)
-        self._fsync = bool(fsync)
-        self._fh: BinaryIO | None = None
-        #: Torn-append bytes discarded while opening an existing store.
-        self.recovered_bytes = 0
-        self._users = UserInterner()
-        self._metadata = metadata if metadata is not None else TraceMetadata()
-        self._meta_dirty = False
-        self._s = 0  # written snapshots (committed + pending)
-        self._n = 0  # written observation rows
-        self._committed_s = 0
-        self._committed_n = 0
-        self._last_time = float("-inf")
-        if self.path.exists():
-            self._open_existing(metadata)
-        else:
-            self._create()
-
-    # -- construction -------------------------------------------------------
-
-    def _create(self) -> None:
-        cap_s = _grow_capacity(0, 0, self._min_cap_s)
-        cap_n = _grow_capacity(0, 0, self._min_cap_n)
-        self._adopt_layout(cap_s, cap_n, self._min_reserve)
-        header = self._header_bytes()
-        if len(header) > self._reserve:
-            self._adopt_layout(cap_s, cap_n, _align(2 * len(header)))
-            header = self._header_bytes()
-        fd, tmp_name = _tempfile_for(self.path)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                self._write_image(handle, header)
-                self._sync_handle(handle)
-            os.replace(tmp_name, self.path)
-            self._sync_directory()
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._fh = self._locked_open()
-
-    def _locked_open(self) -> BinaryIO:
-        """Open the store read-write and take the advisory writer lock.
-
-        The non-blocking exclusive ``flock`` marks this appender as the
-        store's single writer: a second appender on the same path, or a
-        :func:`compact_rtrc_store` racing the crawl, fails with a typed
-        :class:`StoreInUseError` instead of silently orphaning this
-        appender's inode.  The lock rides the handle — closing the
-        appender (or a rewrite swapping handles) releases it.
-        """
-        fh = open(self.path, "r+b")
-        if fcntl is not None:
-            try:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError as exc:
-                fh.close()
-                raise StoreInUseError(
-                    f"{self.path}: another writer holds this store open "
-                    "(a live RtrcAppender, or a compaction in progress); "
-                    "an rtrc store has exactly one writer at a time"
-                ) from exc
-        return fh
-
-    def _sync_handle(self, handle: BinaryIO) -> None:
-        if self._fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _sync_directory(self) -> None:
-        """Make a rename durable: fsync the containing directory."""
-        if not self._fsync:
-            return
-        fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _open_existing(self, metadata: TraceMetadata | None) -> None:
-        size = self.path.stat().st_size
-        with open(self.path, "rb") as handle:
-            preamble = handle.read(_PREAMBLE.size)
-            header_length, data_start = _parse_preamble(preamble, self.path)
-            if _PREAMBLE.size + header_length > size:
-                raise RtrcFormatError(
-                    f"{self.path}: truncated rtrc file — header claims "
-                    f"{header_length} bytes, file has {size}"
-                )
-            header = _parse_header(handle.read(header_length), self.path)
-        try:
-            file_meta = TraceMetadata(**header["metadata"])
-        except (TypeError, ValueError) as exc:
-            raise RtrcFormatError(
-                f"{self.path}: invalid rtrc metadata ({exc})"
-            ) from exc
-        self._metadata = metadata if metadata is not None else file_meta
-        self._meta_dirty = metadata is not None and metadata != file_meta
-        self._users = UserInterner(header["users"])
-        sections = header["sections"]
-        s = int(sections["times"]["shape"][0])
-        n = int(sections["user_ids"]["shape"][0])
-        append_info = header.get("append")
-        if self._adoptable(append_info, sections, s, n):
-            cap_s = int(append_info["snapshot_capacity"])
-            cap_n = int(append_info["observation_capacity"])
-            self._adopt_layout(cap_s, cap_n, header_length)
-            # The committed sections must actually be on disk — a file
-            # truncated below them (bad copy, disk trouble) is corrupt,
-            # not a recoverable torn append.
-            required_end = self._data_start + (
-                self._offsets["xyz"] + n * _ROW_NBYTES["xyz"]
-                if n
-                else self._offsets["snapshot_offsets"]
-                + (s + 1) * _ROW_NBYTES["snapshot_offsets"]
-            )
-            if size < required_end:
-                raise RtrcFormatError(
-                    f"{self.path}: truncated rtrc file — committed sections "
-                    f"need bytes up to {required_end}, file has {size}"
-                )
-            self._s = self._committed_s = s
-            self._n = self._committed_n = n
-            self._last_time = self._read_last_time()
-            self._fh = self._locked_open()
-            self._truncate_torn_tail(size)
-        else:
-            # A tightly-packed one-shot file (or a foreign layout):
-            # convert by rewriting with capacity headroom.
-            store, _ = read_store_rtrc(self.path, mmap=True)
-            self._s = s
-            self._n = n
-            self._last_time = float(store.times[-1]) if s else float("-inf")
-            self._rewrite(
-                (store.times, store.snapshot_offsets, store.user_ids, store.xyz),
-                _grow_capacity(0, s + 1, self._min_cap_s),
-                _grow_capacity(0, n + 1, self._min_cap_n),
-                max(self._min_reserve, _align(2 * header_length)),
-            )
-
-    def _adoptable(
-        self, append_info: object, sections: dict, s: int, n: int
-    ) -> bool:
-        """Whether the on-disk layout already is our appendable layout."""
-        if not isinstance(append_info, dict):
-            return False
-        try:
-            cap_s = int(append_info["snapshot_capacity"])
-            cap_n = int(append_info["observation_capacity"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        if cap_s < s or cap_n < n:
-            return False
-        offsets, _ = _capacity_layout(cap_s, cap_n)
-        return all(
-            int(sections[name]["offset"]) == offsets[name]
-            for name, _ in _SECTION_DTYPES
-        )
-
-    def _adopt_layout(self, cap_s: int, cap_n: int, reserve: int) -> None:
-        self._cap_s = cap_s
-        self._cap_n = cap_n
-        self._reserve = reserve
-        self._offsets, _ = _capacity_layout(cap_s, cap_n)
-        self._data_start = _align(_PREAMBLE.size + reserve)
-
-    def _read_last_time(self) -> float:
-        if not self._s:
-            return float("-inf")
-        with open(self.path, "rb") as handle:
-            handle.seek(
-                self._data_start
-                + self._offsets["times"]
-                + (self._s - 1) * _ROW_NBYTES["times"]
-            )
-            return float(np.frombuffer(handle.read(8), dtype="<f8")[0])
-
-    def _truncate_torn_tail(self, size: int) -> None:
-        """Discard bytes a crashed, uncommitted append left behind.
-
-        ``xyz`` is the last section, so the last byte any *committed*
-        state can own is its committed end; anything beyond was
-        written after the last header commit and is not part of the
-        store.
-        """
-        committed_end = (
-            self._data_start
-            + self._offsets["xyz"]
-            + self._committed_n * _ROW_NBYTES["xyz"]
-        )
-        if size > committed_end:
-            os.truncate(self.path, committed_end)
-            self.recovered_bytes = size - committed_end
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Commit pending appends and release the file handle (idempotent)."""
-        if self._fh is None:
-            return
-        try:
-            self.commit()
-        finally:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RtrcAppender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _require_open(self) -> BinaryIO:
-        if self._fh is None:
-            raise ValueError(f"{self.path}: appender is closed")
-        return self._fh
-
-    # -- shape --------------------------------------------------------------
-
-    @property
-    def snapshot_count(self) -> int:
-        """Snapshots written so far (committed and pending)."""
-        return self._s
-
-    @property
-    def observation_count(self) -> int:
-        """Observation rows written so far (committed and pending)."""
-        return self._n
-
-    @property
-    def committed_snapshot_count(self) -> int:
-        """Snapshots a concurrent reader is guaranteed to see."""
-        return self._committed_s
-
-    @property
-    def user_count(self) -> int:
-        """Distinct users interned so far."""
-        return len(self._users)
-
-    @property
-    def user_names(self) -> list[str]:
-        """Interned user names, indexed by id.  Treat as read-only."""
-        return self._users.names
-
-    @property
-    def last_time(self) -> float:
-        """Timestamp of the newest appended snapshot (-inf when empty)."""
-        return self._last_time
-
-    @property
-    def metadata(self) -> TraceMetadata:
-        """Trace metadata written at the next commit (assignable)."""
-        return self._metadata
-
-    @metadata.setter
-    def metadata(self, value: TraceMetadata) -> None:
-        if value != self._metadata:
-            self._metadata = value
-            self._meta_dirty = True
-
-    # -- appends ------------------------------------------------------------
-
-    def append_snapshot(
-        self,
-        time: float,
-        names: Sequence[str],
-        coords: np.ndarray | Sequence[Sequence[float]],
-    ) -> None:
-        """Write one snapshot's rows into the store's reserved tail.
-
-        ``time`` must be strictly greater than the previous snapshot's;
-        ``names`` may repeat users across snapshots (ids are interned)
-        but not within one.  The rows are on disk when this returns but
-        only become visible to readers — and survive a crash — after
-        :meth:`commit`.
-        """
-        fh = self._require_open()
-        t = float(time)
-        if t <= self._last_time:
-            raise ValueError(
-                f"snapshot times must be strictly increasing: "
-                f"{t} after {self._last_time}"
-            )
-        rows = len(names)
-        block = np.ascontiguousarray(coords, dtype="<f8").reshape(rows, 3)
-        # Reject duplicates *before* interning: a refused snapshot must
-        # not leak phantom names into the committed user table.
-        if len(set(names)) != rows:
-            seen: set[str] = set()
-            for name in names:
-                if name in seen:
-                    raise ValueError(f"user {name!r} appears twice at t={t}")
-                seen.add(name)
-        ids = np.fromiter(
-            (self._users.intern(name) for name in names),
-            dtype="<i8",
-            count=rows,
-        )
-        if self._s + 1 > self._cap_s or self._n + rows > self._cap_n:
-            self._grow(self._s + 1, self._n + rows, self._reserve)
-            fh = self._require_open()
-        base = self._data_start
-        fh.seek(base + self._offsets["times"] + self._s * _ROW_NBYTES["times"])
-        fh.write(np.array([t], dtype="<f8").tobytes())
-        fh.seek(
-            base
-            + self._offsets["snapshot_offsets"]
-            + (self._s + 1) * _ROW_NBYTES["snapshot_offsets"]
-        )
-        fh.write(np.array([self._n + rows], dtype="<i8").tobytes())
-        if rows:
-            fh.seek(
-                base + self._offsets["user_ids"] + self._n * _ROW_NBYTES["user_ids"]
-            )
-            fh.write(ids.tobytes())
-            fh.seek(base + self._offsets["xyz"] + self._n * _ROW_NBYTES["xyz"])
-            fh.write(block.tobytes())
-        self._s += 1
-        self._n += rows
-        self._last_time = t
-
-    def commit(self) -> Path:
-        """Publish every pending append — the crash-consistency point.
-
-        Flushes the row data, then rewrites the JSON header in place
-        with the grown shapes (and any metadata / user-table changes).
-        With ``fsync=True`` the data is fsynced before the header so
-        the commit is also durable, not merely ordered.  A no-op when
-        nothing changed.
-        """
-        fh = self._require_open()
-        dirty = (
-            self._s != self._committed_s
-            or self._n != self._committed_n
-            or self._meta_dirty
-        )
-        if not dirty:
-            return self.path
-        header = self._header_bytes()
-        if len(header) > self._reserve:
-            # The user table or metadata outgrew the reserve; a full
-            # rewrite doubles it (and commits).
-            self._grow(self._s, self._n, _align(2 * len(header)))
-            return self.path
-        fh.flush()
-        if self._fsync:
-            os.fsync(fh.fileno())
-        fh.seek(_PREAMBLE.size)
-        fh.write(header + b" " * (self._reserve - len(header)))
-        fh.flush()
-        if self._fsync:
-            os.fsync(fh.fileno())
-        self._committed_s = self._s
-        self._committed_n = self._n
-        self._meta_dirty = False
-        return self.path
-
-    def load(self, mmap: bool = True) -> Trace:
-        """The committed prefix as a trace (a fresh memmap by default)."""
-        return read_trace_rtrc(self.path, mmap=mmap)
-
-    # -- layout plumbing ----------------------------------------------------
-
-    def _header_bytes(self) -> bytes:
-        sections: dict[str, dict[str, object]] = {}
-        shapes = {
-            "times": [self._s],
-            "snapshot_offsets": [self._s + 1],
-            "user_ids": [self._n],
-            "xyz": [self._n, 3],
-        }
-        for name, dtype in _SECTION_DTYPES:
-            shape = shapes[name]
-            sections[name] = {
-                "dtype": dtype,
-                "shape": shape,
-                "offset": self._offsets[name],
-                "nbytes": int(np.prod(shape, dtype=np.int64))
-                * np.dtype(dtype).itemsize,
-            }
-        header = {
-            "metadata": {
-                name: getattr(self._metadata, name) for name in _METADATA_FIELDS
-            },
-            "users": list(self._users.names),
-            "sections": sections,
-            "append": {
-                "snapshot_capacity": self._cap_s,
-                "observation_capacity": self._cap_n,
-            },
-        }
-        return json.dumps(header, ensure_ascii=False).encode("utf-8")
-
-    def _write_image(self, handle: BinaryIO, header: bytes) -> None:
-        """Write preamble + padded header + the committed rows."""
-        handle.write(_PREAMBLE.pack(MAGIC, VERSION, 0, self._reserve))
-        handle.write(header + b" " * (self._reserve - len(header)))
-        handle.write(b"\0" * (self._data_start - _PREAMBLE.size - self._reserve))
-        # Row zero of snapshot_offsets is always 0; write it so the
-        # committed end never precedes it even on a hole-free FS.
-        handle.seek(self._data_start + self._offsets["snapshot_offsets"])
-        handle.write(np.array([0], dtype="<i8").tobytes())
-
-    def _written_arrays(self) -> tuple[np.ndarray, ...]:
-        """Every written row (committed + pending), memmapped read-only."""
-        fh = self._require_open()
-        fh.flush()
-        base = self._data_start
-
-        def load(name: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-            if int(np.prod(shape)) == 0:
-                return np.empty(shape, dtype=dtype)
-            return np.memmap(
-                self.path,
-                dtype=dtype,
-                mode="r",
-                offset=base + self._offsets[name],
-                shape=shape,
-            )
-
-        times = load("times", "<f8", (self._s,))
-        offsets = np.empty(self._s + 1, dtype="<i8")
-        offsets[0] = 0
-        if self._s:
-            offsets[1:] = load("snapshot_offsets", "<i8", (self._s + 1,))[1:]
-        ids = load("user_ids", "<i8", (self._n,))
-        xyz = load("xyz", "<f8", (self._n, 3))
-        return times, offsets, ids, xyz
-
-    def _grow(self, need_s: int, need_n: int, need_reserve: int) -> None:
-        self._rewrite(
-            self._written_arrays(),
-            _grow_capacity(self._cap_s, need_s, self._min_cap_s),
-            _grow_capacity(self._cap_n, need_n, self._min_cap_n),
-            max(self._reserve, need_reserve, self._min_reserve),
-        )
-
-    def _rewrite(
-        self,
-        arrays: tuple[np.ndarray, ...],
-        cap_s: int,
-        cap_n: int,
-        reserve: int,
-    ) -> None:
-        """Rebuild the file with new capacities via temp file + rename.
-
-        Readers holding a memmap of the old file keep their consistent
-        view — the rename only unlinks the name, not the mapped inode.
-        A rewrite commits everything it writes.
-        """
-        times, offsets, ids, xyz = arrays
-        old_fh = self._fh
-        self._adopt_layout(cap_s, cap_n, reserve)
-        header = self._header_bytes()
-        if len(header) > self._reserve:
-            self._adopt_layout(cap_s, cap_n, _align(2 * len(header)))
-            header = self._header_bytes()
-        fd, tmp_name = _tempfile_for(self.path)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                self._write_image(handle, header)
-                base = self._data_start
-                for name, arr in (
-                    ("times", np.asarray(times, dtype="<f8")),
-                    ("snapshot_offsets", np.asarray(offsets, dtype="<i8")),
-                    ("user_ids", np.asarray(ids, dtype="<i8")),
-                    ("xyz", np.asarray(xyz, dtype="<f8")),
-                ):
-                    handle.seek(base + self._offsets[name])
-                    handle.write(np.ascontiguousarray(arr).tobytes())
-                # A rewrite commits everything it writes, so under
-                # fsync=True it must be as durable as a header commit
-                # before the old (possibly fsynced) file is replaced.
-                self._sync_handle(handle)
-            os.replace(tmp_name, self.path)
-            self._sync_directory()
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        if old_fh is not None:
-            old_fh.close()
-        self._fh = self._locked_open()
-        self._committed_s = self._s
-        self._committed_n = self._n
-        self._meta_dirty = False

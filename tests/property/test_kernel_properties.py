@@ -16,18 +16,20 @@ from repro.core import (
     extract_contact_set,
     extract_contact_sets_multirange,
     extract_contacts,
-    extract_contacts_loop,
-    extract_contacts_multirange_loop,
-    extract_contacts_reference,
 )
 from repro.core.kernels import build_contact_events, multirange_contact_sets
 from repro.trace import (
     Trace,
     TraceMetadata,
     extract_session_set,
-    extract_sessions_loop,
 )
 from repro.trace.columnar import ColumnarBuilder
+from tests.oracles import (
+    extract_contacts_loop,
+    extract_contacts_multirange_loop,
+    extract_contacts_reference,
+    extract_sessions_loop,
+)
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """One close contract for every time-partitioned analyzer.
 
 ``BoundaryMergeAnalyzer`` subclasses — ``ShardedAnalyzer``,
-``WindowedAnalyzer``, ``LiveAnalyzer`` (file and shard-dir modes) —
-share a single lifecycle rule, pinned here across every backend:
+``WindowedAnalyzer``, ``LiveAnalyzer`` (over an appender-grown shard
+directory and over a ``to_rtrc_dir`` export) — share a single
+lifecycle rule, pinned here across every backend:
 
 * results computed before ``close()`` stay readable from the caches;
 * any analysis that would need new extraction raises ``ValueError``
@@ -25,7 +26,7 @@ from repro.core import (
     WindowedAnalyzer,
     extract_contacts,
 )
-from repro.trace import RtrcDirAppender, write_trace_rtrc
+from repro.trace import RtrcDirAppender, to_rtrc_dir, write_trace_rtrc
 from tests.unit.core.test_sharded_equivalence import churn_trace
 
 RADIUS = 15.0
@@ -39,11 +40,6 @@ def _sharded(trace, tmp_path, backend):
 def _windowed(trace, tmp_path, backend):
     path = write_trace_rtrc(trace, tmp_path / "t.rtrc")
     return WindowedAnalyzer(path, 100.0, backend=backend)
-
-
-def _live_file(trace, tmp_path, backend):
-    path = write_trace_rtrc(trace, tmp_path / "t.rtrc")
-    return LiveAnalyzer(path, backend=backend)
 
 
 def _live_dir(trace, tmp_path, backend):
@@ -61,16 +57,26 @@ def _live_dir(trace, tmp_path, backend):
     return LiveAnalyzer(root, backend=backend)
 
 
+def _live_export(trace, tmp_path, backend):
+    # The route a one-shot trace file takes to a follower:
+    # ``slmob shard-export`` writes the shard directory in one go.
+    root = tmp_path / "export"
+    to_rtrc_dir(trace, 3, root)
+    return LiveAnalyzer(root, backend=backend)
+
+
 FACTORIES = [
     pytest.param((_sharded, "thread"), id="sharded-thread"),
     pytest.param((_sharded, "process"), id="sharded-process"),
     pytest.param((_windowed, "serial"), id="windowed-serial"),
     pytest.param((_windowed, "thread"), id="windowed-thread"),
     pytest.param((_windowed, "process"), id="windowed-process"),
-    pytest.param((_live_file, "serial"), id="live-file-serial"),
-    pytest.param((_live_file, "process"), id="live-file-process"),
     pytest.param((_live_dir, "serial"), id="live-dir-serial"),
+    pytest.param((_live_dir, "thread"), id="live-dir-thread"),
     pytest.param((_live_dir, "process"), id="live-dir-process"),
+    pytest.param((_live_export, "serial"), id="live-export-serial"),
+    pytest.param((_live_export, "thread"), id="live-export-thread"),
+    pytest.param((_live_export, "process"), id="live-export-process"),
 ]
 
 

@@ -15,7 +15,6 @@ from repro.core.contacts import (
     BLUETOOTH_RANGE,
     WIFI_RANGE,
     extract_contacts,
-    extract_contacts_reference,
     snapshot_id_pairs,
 )
 from repro.geometry import Position
@@ -29,6 +28,7 @@ from repro.trace import (
     orbiting_users_trace,
     random_walk_trace,
 )
+from tests.oracles import extract_contacts_reference
 
 
 def assert_equivalent(trace, r):

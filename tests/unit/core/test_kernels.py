@@ -31,9 +31,9 @@ from repro.trace import (
     Trace,
     TraceMetadata,
     extract_session_set,
-    extract_sessions_loop,
 )
 from repro.trace.columnar import ColumnarBuilder
+from tests.oracles import extract_sessions_loop
 
 TAU = 10.0
 

@@ -1,28 +1,34 @@
 """Live incremental analysis must equal a full recompute, exactly.
 
-:class:`~repro.core.live.LiveAnalyzer` follows a store an
-:class:`~repro.trace.RtrcAppender` is growing; after every append
+:class:`~repro.core.live.LiveAnalyzer` follows a shard directory an
+:class:`~repro.trace.RtrcDirAppender` is growing; after every append
 round its merged results must be bit-for-bit what the serial
-extractors produce over the whole committed prefix — and it must get
-there by extracting *only* the newly appended part.
+extractors produce over the whole committed prefix.  The per-backend
+equivalence, incrementality and compaction cases live in
+``test_live_shard_dir.py``; this module keeps the buffer-mode
+(``mmap=False``), lazy-backfill, one-shot-export, empty-store and
+append-only contract cases, and pins that a single trace file is
+refused.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 
-import repro.core.parallel as parallel_module
 from repro.core import LiveAnalyzer, extract_contacts, losgraph
 from repro.core.spatial import zone_occupation
 from repro.trace import (
-    RtrcAppender,
+    RtrcDirAppender,
     Trace,
     extract_sessions,
+    list_rtrc_dir,
+    to_rtrc_dir,
     write_trace_rtrc,
 )
 from repro.trace.columnar import ColumnarBuilder, empty_store
+from repro.trace.sharding import read_shard_manifest, write_shard_manifest
 from tests.unit.core.test_sharded_equivalence import churn_trace
-
-ROUND_COUNTS = (1, 2, 7)
 
 
 def _stream_rounds(appender, trace, rounds):
@@ -39,22 +45,24 @@ def _stream_rounds(appender, trace, rounds):
         yield int(hi)
 
 
+ROUND_COUNTS = (1, 2, 7)
+
+
 @pytest.fixture(scope="module")
 def trace():
     return churn_trace(29)
 
 
 class TestEquivalence:
-    """After 1, 2 and 7 append rounds, every analysis matches the oracle."""
+    """In buffer mode, after 1, 2 and 7 rounds, every analysis matches."""
 
     @pytest.mark.parametrize("rounds", ROUND_COUNTS)
     def test_incremental_matches_full_recompute(self, tmp_path, trace, rounds):
-        path = tmp_path / f"live-{rounds}.rtrc"
-        with RtrcAppender(path, trace.metadata) as appender:
-            live = LiveAnalyzer(path)
+        root = tmp_path / f"live-{rounds}"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            live = LiveAnalyzer(root, mmap=False)
             for prefix_len in _stream_rounds(appender, trace, rounds):
-                grown = live.refresh()
-                assert grown > 0
+                assert live.refresh() > 0
                 oracle = Trace.from_columns(
                     trace.columns.slice_snapshots(0, prefix_len),
                     trace.metadata,
@@ -74,35 +82,12 @@ class TestEquivalence:
             assert live.part_count == rounds
             live.close()
 
-    def test_multirange_and_graph_metrics_after_rounds(self, tmp_path, trace):
-        path = tmp_path / "live-mr.rtrc"
-        with RtrcAppender(path, trace.metadata) as appender:
-            live = LiveAnalyzer(path)
-            for _ in _stream_rounds(appender, trace, 3):
-                live.refresh()
-            by_range = live.contacts_multirange((6.0, 80.0))
-            for r, contacts in by_range.items():
-                assert contacts == extract_contacts(trace, r)
-            assert np.array_equal(
-                live.diameter_array(15.0, 2),
-                np.asarray(
-                    losgraph.diameter_series(trace, 15.0, 2), dtype=np.int64
-                ),
-            )
-            assert np.array_equal(
-                live.clustering_array(15.0, 2),
-                np.asarray(
-                    losgraph.clustering_series(trace, 15.0, 2), dtype=np.float64
-                ),
-            )
-            live.close()
-
     def test_queries_between_rounds_stay_exact(self, tmp_path, trace):
         # A key first requested at round 3 must backfill rounds 1-2;
         # a key requested every round must only extend.
-        path = tmp_path / "live-lazy.rtrc"
-        with RtrcAppender(path, trace.metadata) as appender:
-            live = LiveAnalyzer(path)
+        root = tmp_path / "live-lazy"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            live = LiveAnalyzer(root)
             for count, prefix_len in enumerate(
                 _stream_rounds(appender, trace, 5), start=1
             ):
@@ -118,117 +103,113 @@ class TestEquivalence:
             live.close()
 
 
-class TestIncrementality:
-    def test_each_part_extracted_exactly_once(self, tmp_path, trace, monkeypatch):
-        calls = []
-        real = parallel_module.extract_shard_task
-
-        def counting(part, kind, params):
-            calls.append((kind, len(part)))
-            return real(part, kind, params)
-
-        monkeypatch.setattr(parallel_module, "extract_shard_task", counting)
-        path = tmp_path / "live-count.rtrc"
-        with RtrcAppender(path, trace.metadata) as appender:
-            live = LiveAnalyzer(path)
-            lengths = []
-            previous = 0
-            for prefix_len in _stream_rounds(appender, trace, 4):
-                live.refresh()
-                live.contacts(15.0)
-                live.sessions()
-                lengths.append(prefix_len - previous)
-                previous = prefix_len
-            live.close()
-        contact_calls = [length for kind, length in calls if kind == "contacts"]
-        # One extraction per part, each over only that part's snapshots.
-        assert contact_calls == lengths
-        assert [l for k, l in calls if k == "sessions"] == lengths
-
-    def test_refresh_without_growth_invalidates_nothing(self, tmp_path, trace):
-        path = tmp_path / "live-idle.rtrc"
-        with RtrcAppender(path, trace.metadata) as appender:
-            live = LiveAnalyzer(path)
-            for _ in _stream_rounds(appender, trace, 2):
-                pass
-            assert live.refresh() > 0
-            first = live.contacts(15.0)
-            assert live.refresh() == 0
-            assert live.contacts(15.0) is first  # cache object survives
-            live.close()
-
-
 class TestEmptyAndLifecycle:
     def test_empty_store_reports_empty_results(self, tmp_path):
-        path = tmp_path / "empty.rtrc"
-        with RtrcAppender(path) as appender:
-            live = LiveAnalyzer(path)
-            assert live.snapshot_count == 0
-            assert live.contacts(10.0) == []
-            assert live.sessions() == []
-            with pytest.raises(ValueError, match="no snapshots"):
-                live.zone_occupation(20.0)
+        # An export of an empty trace: every shard file holds zero
+        # snapshots, so the follower has no parts until a round lands.
+        root = tmp_path / "empty"
+        to_rtrc_dir(Trace.from_columns(empty_store()), 2, root)
+        live = LiveAnalyzer(root)
+        assert live.part_count == 0
+        assert live.snapshot_count == 0
+        assert live.contacts(10.0) == []
+        assert live.sessions() == []
+        with pytest.raises(ValueError, match="no snapshots"):
+            live.zone_occupation(20.0)
+        with RtrcDirAppender(root) as appender:
             appender.append_snapshot(0.0, ["a"], [[0.0, 0.0, 0.0]])
             appender.append_snapshot(10.0, ["a"], [[1.0, 0.0, 0.0]])
-            appender.commit()
-            assert live.refresh() == 2
-            assert len(live.sessions()) == 1
-            live.close()
+        assert live.refresh() == 2
+        assert live.part_count == 1
+        assert len(live.sessions()) == 1
+        live.close()
 
-    def test_close_keeps_caches_but_blocks_new_work(self, tmp_path, trace):
-        path = write_trace_rtrc(trace, tmp_path / "t.rtrc")
-        with LiveAnalyzer(path) as live:
-            contacts = live.contacts(15.0)
-        assert live.contacts(15.0) == contacts == extract_contacts(trace, 15.0)
-        with pytest.raises(ValueError, match="closed"):
-            live.sessions()
-        with pytest.raises(ValueError, match="closed"):
-            live.refresh()
+    def test_zero_snapshot_shard_files_add_no_parts(self, tmp_path, trace):
+        # More shards than snapshots leaves trailing empty files.
+        short = Trace.from_columns(trace.columns.slice_snapshots(0, 3), trace.metadata)
+        root = tmp_path / "sparse"
+        to_rtrc_dir(short, 5, root)
+        assert read_shard_manifest(root)["snapshot_counts"] == [1, 1, 1, 0, 0]
+        with LiveAnalyzer(root) as live:
+            assert live.part_count == 3
+            assert live.snapshot_count == 3
+            assert live.contacts(15.0) == extract_contacts(short, 15.0)
+            assert live.sessions() == extract_sessions(short)
 
     def test_existing_store_is_one_initial_part(self, tmp_path, trace):
-        path = write_trace_rtrc(trace, tmp_path / "t.rtrc")
-        live = LiveAnalyzer(path)
+        root = tmp_path / "t"
+        to_rtrc_dir(trace, 1, root)
+        live = LiveAnalyzer(root)
         assert live.part_count == 1
         assert live.snapshot_count == len(trace)
         assert live.contacts(15.0) == extract_contacts(trace, 15.0)
         live.close()
 
+    def test_single_file_is_refused_with_guidance(self, tmp_path, trace):
+        path = write_trace_rtrc(trace, tmp_path / "t.rtrc")
+        with pytest.raises(ValueError, match="TraceAnalyzer") as excinfo:
+            LiveAnalyzer(path)
+        assert "slmob shard-export" in str(excinfo.value)
+
+    def test_missing_directory_is_an_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            LiveAnalyzer(tmp_path / "not-yet")
+
 
 class TestAppendOnlyContract:
     def test_shrunken_store_rejected(self, tmp_path, trace):
-        path = tmp_path / "shrink.rtrc"
-        write_trace_rtrc(trace, path)
-        live = LiveAnalyzer(path)
-        half = Trace.from_columns(
-            trace.columns.slice_snapshots(0, len(trace) // 2), trace.metadata
+        root = tmp_path / "shrink"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            for _ in _stream_rounds(appender, trace, 3):
+                pass
+        live = LiveAnalyzer(root)
+        manifest = read_shard_manifest(root)
+        # Drop the newest committed round from the manifest.
+        write_shard_manifest(
+            root,
+            manifest["files"][:-1],
+            manifest["snapshot_counts"][:-1],
+            manifest["time_ranges"][:-1],
+            generation=manifest.get("generation", 0),
         )
-        write_trace_rtrc(half, path)
-        with pytest.raises(ValueError, match="shrank"):
-            live.refresh()
-        live.close()
-
-    def test_rewritten_history_rejected(self, tmp_path):
-        builder = ColumnarBuilder()
-        for t in (0.0, 10.0, 20.0):
-            builder.append_snapshot(t, ["a"], [[t, 0.0, 0.0]])
-        trace = Trace.from_columns(builder.build())
-        path = tmp_path / "rewrite.rtrc"
-        write_trace_rtrc(trace, path)
-        live = LiveAnalyzer(path)
-        shifted = ColumnarBuilder()
-        for t in (0.0, 10.0, 21.0, 30.0):  # past snapshot moved
-            shifted.append_snapshot(t, ["a"], [[t, 0.0, 0.0]])
-        write_trace_rtrc(Trace.from_columns(shifted.build()), path)
+        assert len(list_rtrc_dir(root)) == 2
         with pytest.raises(ValueError, match="append-only"):
             live.refresh()
         live.close()
 
-    def test_empty_then_deleted_store_is_an_error(self, tmp_path):
-        path = write_trace_rtrc(
-            Trace.from_columns(empty_store()), tmp_path / "gone.rtrc"
+    def test_rewritten_history_rejected(self, tmp_path):
+        # A new round whose first snapshot lies in the committed past
+        # (a producer that restarted its clock) breaks the contract.
+        root = tmp_path / "rewrite"
+        with RtrcDirAppender(root) as appender:
+            for t in (0.0, 10.0, 20.0):
+                appender.append_snapshot(t, ["a"], [[t, 0.0, 0.0]])
+        live = LiveAnalyzer(root)
+        assert live.refresh() == 0  # the opening scan saw all three
+        shifted = ColumnarBuilder()
+        for t in (15.0, 30.0):
+            shifted.append_snapshot(t, ["a"], [[t, 0.0, 0.0]])
+        write_trace_rtrc(
+            Trace.from_columns(shifted.build()), root / "shard-00001.rtrc"
         )
-        live = LiveAnalyzer(path)
-        path.unlink()
+        manifest = read_shard_manifest(root)
+        write_shard_manifest(
+            root,
+            manifest["files"] + ["shard-00001.rtrc"],
+            manifest["snapshot_counts"] + [2],
+            manifest["time_ranges"] + [[15.0, 30.0]],
+            generation=manifest.get("generation", 0),
+        )
+        with pytest.raises(ValueError, match="not strictly after"):
+            live.refresh()
+        assert live.snapshot_count == 3  # the refusal changed nothing
+        live.close()
+
+    def test_empty_then_deleted_store_is_an_error(self, tmp_path):
+        root = tmp_path / "gone"
+        RtrcDirAppender(root).close()
+        live = LiveAnalyzer(root)
+        shutil.rmtree(root)
         with pytest.raises(FileNotFoundError):
             live.refresh()
         live.close()

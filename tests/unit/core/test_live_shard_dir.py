@@ -77,6 +77,13 @@ class TestEquivalence:
                         live.zone_occupation(20.0, 3),
                         zone_occupation(oracle, 20.0, 3),
                     )
+                    assert np.array_equal(
+                        live.degree_array(15.0, 2),
+                        np.asarray(
+                            losgraph.degree_samples(oracle, 15.0, 2),
+                            dtype=np.int64,
+                        ),
+                    )
                 assert live.part_count == rounds
 
     def test_all_seven_task_families_after_rounds(self, tmp_path, trace, backend):
@@ -148,10 +155,13 @@ class TestIncrementality:
                 for prefix_len in _stream_rounds(appender, trace, 4):
                     live.refresh()
                     live.contacts(15.0)
+                    live.sessions()
                     lengths.append(prefix_len - previous)
                     previous = prefix_len
         contact_calls = [length for kind, length in calls if kind == "contacts"]
+        # One extraction per part, each over only that part's snapshots.
         assert contact_calls == lengths
+        assert [l for k, l in calls if k == "sessions"] == lengths
 
     def test_refresh_without_growth_invalidates_nothing(self, tmp_path, trace):
         root = tmp_path / "idle"

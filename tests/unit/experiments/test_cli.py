@@ -160,7 +160,7 @@ class TestConvertAndShards:
 class TestCrawlStreaming:
     @pytest.fixture(scope="class")
     def crawl_store(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("crawl") / "live.rtrc"
+        out = tmp_path_factory.mktemp("crawl") / "live"
         code = main([
             "crawl", "--land", "dance", "--hours", "0.1",
             "--spinup", "600", "--seed", "3",
@@ -174,14 +174,14 @@ class TestCrawlStreaming:
         # the trace the buffered simulate pipeline writes.
         import numpy as np
 
-        from repro.trace import read_trace_rtrc
+        from repro.trace import read_trace, read_trace_rtrc
 
         one_shot = tmp_path / "one.rtrc"
         assert main([
             "simulate", "--land", "dance", "--hours", "0.1",
             "--spinup", "600", "--seed", "3", "--out", str(one_shot),
         ]) == 0
-        streamed = read_trace_rtrc(crawl_store)
+        streamed = read_trace(crawl_store)
         expected = read_trace_rtrc(one_shot)
         assert np.array_equal(streamed.columns.times, expected.columns.times)
         assert np.array_equal(streamed.columns.user_ids, expected.columns.user_ids)
@@ -189,8 +189,40 @@ class TestCrawlStreaming:
         assert streamed.columns.users.names == expected.columns.users.names
         assert streamed.metadata == expected.metadata
 
+    def test_convert_exports_the_crawl_as_one_file(self, crawl_store, tmp_path):
+        # `convert <shard-dir> x.rtrc` is the export route the
+        # single-file refusals point to: its output must load bit for
+        # bit equal to the concat-load of the directory.
+        import numpy as np
+
+        from repro.trace import concat_shards, read_rtrc_dir, read_trace_rtrc
+
+        out = tmp_path / "exported.rtrc"
+        assert main(["convert", str(crawl_store), str(out)]) == 0
+        exported = read_trace_rtrc(out)
+        expected = concat_shards(read_rtrc_dir(crawl_store))
+        for name in ("times", "snapshot_offsets", "user_ids", "xyz"):
+            assert np.array_equal(
+                getattr(exported.columns, name), getattr(expected.columns, name)
+            )
+        assert exported.columns.users.names == expected.columns.users.names
+        assert exported.metadata == expected.metadata
+
+    def test_shard_export_reads_a_shard_dir(self, crawl_store, tmp_path):
+        import numpy as np
+
+        from repro.trace import concat_shards, read_rtrc_dir
+
+        out = tmp_path / "resharded"
+        assert main(["shard-export", str(crawl_store), str(out), "--shards", "2"]) == 0
+        resharded = concat_shards(read_rtrc_dir(out))
+        expected = concat_shards(read_rtrc_dir(crawl_store))
+        assert len(read_rtrc_dir(out)) == 2
+        assert np.array_equal(resharded.columns.xyz, expected.columns.xyz)
+        assert np.array_equal(resharded.columns.times, expected.columns.times)
+
     def test_crawl_follow_prints_live_status(self, tmp_path, capsys):
-        out = tmp_path / "follow.rtrc"
+        out = tmp_path / "follow"
         code = main([
             "crawl", "--land", "dance", "--hours", "0.05",
             "--spinup", "300", "--round-minutes", "1",
@@ -201,13 +233,19 @@ class TestCrawlStreaming:
         assert "contacts(r=10)" in status
         assert "sessions=" in status
 
-    def test_crawl_rejects_non_rtrc_target(self, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["x.csv", "x.rtrc", "x.rtrc.gz"])
+    def test_crawl_rejects_non_rtrc_target(self, tmp_path, capsys, target):
+        # Crawls stream into shard directories only; a file target is
+        # refused with the shard-dir route and the export command.
         code = main([
             "crawl", "--land", "dance", "--hours", "0.05",
-            "--out", str(tmp_path / "x.csv"),
+            "--out", str(tmp_path / target),
         ])
         assert code == 2
-        assert ".rtrc" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "shard directories" in err
+        assert "slmob convert <dir> x.rtrc" in err
+        assert not (tmp_path / target).exists()
 
     def test_analyze_follow_reports_and_exits(self, crawl_store, capsys):
         code = main([
@@ -219,14 +257,26 @@ class TestCrawlStreaming:
         assert "contacts(r=10)" in out
         assert "no growth" in out
 
-    def test_analyze_follow_rejects_csv(self, tmp_path, capsys):
-        csv = tmp_path / "x.csv"
-        csv.write_text("time,user,x,y,z\n")
-        assert main(["analyze", str(csv), "--follow"]) == 2
+    @pytest.mark.parametrize("name", ["x.csv", "x.rtrc", "not-yet.rtrc"])
+    def test_analyze_follow_rejects_csv(self, tmp_path, capsys, name):
+        # Only shard directories grow; a trace file (or a file path
+        # that does not exist yet) is refused with the shard-dir route.
+        path = tmp_path / name
+        if name == "x.csv":
+            path.write_text("time,user,x,y,z\n")
+        elif name == "x.rtrc":
+            from repro.trace import Trace, write_trace_rtrc
+            from repro.trace.columnar import empty_store
+
+            write_trace_rtrc(Trace.from_columns(empty_store()), path)
+        assert main(["analyze", str(path), "--follow"]) == 2
+        err = capsys.readouterr().err
+        assert "shard directories" in err
+        assert "slmob shard-export" in err
 
     def test_analyze_follow_rejects_gzip_store(self, tmp_path, capsys):
-        # A gzipped store can never grow (the appender rejects it);
-        # tailing one would just re-decompress forever.
+        # A gzipped store can never grow; tailing one would just
+        # re-decompress forever.
         gz = tmp_path / "x.rtrc.gz"
         gz.write_bytes(b"")
         assert main(["analyze", str(gz), "--follow"]) == 2
@@ -281,10 +331,8 @@ class TestShardDirCli:
 
     def test_follow_before_producer_exits_cleanly(self, tmp_path, capsys):
         # Follower started before the crawler: exit 2 + message, not a
-        # FileNotFoundError traceback (for dirs and files alike).
+        # FileNotFoundError traceback.
         assert main(["analyze", str(tmp_path / "not-yet"), "--follow"]) == 2
-        assert "start the crawl" in capsys.readouterr().err
-        assert main(["analyze", str(tmp_path / "not.rtrc"), "--follow"]) == 2
         assert "start the crawl" in capsys.readouterr().err
 
     def test_batch_analyze_loads_a_shard_dir(self, tmp_path, capsys):
@@ -292,10 +340,16 @@ class TestShardDirCli:
         assert main(["analyze", str(root), "--range", "15", "--every", "6"]) == 0
         assert "churn" in capsys.readouterr().out
 
-    def test_batch_analyze_rejects_a_non_shard_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["convert", "out.rtrc"], ["shard-export", "out", "--shards", "2"],
+    ])
+    def test_batch_analyze_rejects_a_non_shard_dir(self, tmp_path, capsys, command):
+        # Every command that loads a trace reads a directory the same
+        # way, and fails the same clean way on one that is not a
+        # shard directory.
         empty = tmp_path / "empty-dir"
         empty.mkdir()
-        assert main(["analyze", str(empty)]) == 2
+        assert main([command[0], str(empty), *command[1:]]) == 2
         assert "shard directory" in capsys.readouterr().err
 
     def test_analyze_backend_serial_needs_follow(self, tmp_path, capsys):
@@ -312,6 +366,23 @@ class TestShardDirCli:
         empty.mkdir()
         assert main(["compact", str(empty)]) == 2
         assert "cannot compact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compact", "serve"])
+    def test_single_file_store_refused(self, tmp_path, capsys, command):
+        # Live-store commands take shard directories only: an existing
+        # .rtrc file is refused (exit 2) with the shard-dir route and
+        # the single-file export, and is left untouched.
+        from repro.trace import write_trace_rtrc
+        from tests.unit.core.test_sharded_equivalence import churn_trace
+
+        path = write_trace_rtrc(churn_trace(5), tmp_path / "flat.rtrc")
+        before = path.read_bytes()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "shard directories" in err
+        assert "slmob shard-export" in err
+        assert "slmob convert <dir> x.rtrc" in err
+        assert path.read_bytes() == before
 
     def test_compact_shard_dir_round_trips(self, tmp_path, capsys):
         root = self._grown_dir(tmp_path)
@@ -361,20 +432,18 @@ class TestServeCli:
         assert "--ingest" in help_text
         assert "POST" in help_text
 
-    def test_store_specs_default_names_strip_rtrc(self):
+    def test_store_specs_default_names_are_basenames(self):
         from repro.cli import _serve_store_specs
 
-        stores = _serve_store_specs(
-            ["crawls/dance.rtrc", "apfel", "iov=crawls/live.rtrc.gz"]
-        )
+        stores = _serve_store_specs(["crawls/dance", "apfel", "iov=crawls/live"])
         assert sorted(stores) == ["apfel", "dance", "iov"]
-        assert str(stores["dance"]) == "crawls/dance.rtrc"
+        assert str(stores["dance"]) == "crawls/dance"
 
     def test_store_specs_reject_duplicate_names(self):
         from repro.cli import _serve_store_specs
 
         with pytest.raises(ValueError, match="used twice"):
-            _serve_store_specs(["a/dance.rtrc", "b/dance.rtrc"])
+            _serve_store_specs(["a/dance", "b/dance"])
 
     def test_serve_missing_store_exits_cleanly(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nothere")]) == 2
@@ -505,7 +574,7 @@ class TestScenarioRoundTrips:
         from repro.trace import read_trace
 
         sim = tmp_path / "sim.rtrc"
-        crawled = tmp_path / "crawl.rtrc"
+        crawled = tmp_path / "crawl"
         world = ["--land", "campus", "--monitor", "association",
                  "--hours", "0.05", "--spinup", "300", "--seed", "5"]
         assert main(["simulate", *world, "--out", str(sim)]) == 0
@@ -526,7 +595,7 @@ class TestScenarioRoundTrips:
         from repro.trace import read_trace
 
         sim = tmp_path / "sim.rtrc"
-        crawled = tmp_path / "crawl.rtrc"
+        crawled = tmp_path / "crawl"
         world = ["--land", "metaverse", "--users", "80", "--hours", "0.05",
                  "--seed", "9"]
         assert main(["simulate", *world, "--out", str(sim)]) == 0

@@ -100,7 +100,7 @@ class TestMonitoring:
 
     def test_streamed_equals_buffered(self):
         class ListSink:
-            """Minimal RtrcAppender-shaped sink."""
+            """Minimal RtrcDirAppender-shaped sink."""
 
             def __init__(self):
                 self.metadata = None

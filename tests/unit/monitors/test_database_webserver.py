@@ -96,9 +96,9 @@ class TestStreamingDatabase:
     """Unbuffered mode forwards snapshots to a sink and keeps nothing."""
 
     def _streaming_db(self, tmp_path):
-        from repro.trace import RtrcAppender
+        from repro.trace import RtrcDirAppender
 
-        sink = RtrcAppender(tmp_path / "stream.rtrc")
+        sink = RtrcDirAppender(tmp_path / "stream")
         return TraceDatabase(TraceMetadata(), sink=sink, buffer=False), sink
 
     def test_snapshots_flow_to_the_sink(self, tmp_path):
@@ -110,9 +110,9 @@ class TestStreamingDatabase:
         assert db.users() == {"a", "b"}
         assert sink.snapshot_count == 2
         sink.close()
-        from repro.trace import read_trace_rtrc
+        from repro.trace import read_trace
 
-        assert len(read_trace_rtrc(sink.path)) == 2
+        assert len(read_trace(sink.directory)) == 2
 
     def test_to_trace_points_at_the_sink(self, tmp_path):
         db, sink = self._streaming_db(tmp_path)
@@ -131,14 +131,14 @@ class TestStreamingDatabase:
             TraceDatabase(TraceMetadata(), buffer=False)
 
     def test_buffered_with_sink_keeps_both(self, tmp_path):
-        from repro.trace import RtrcAppender, read_trace_rtrc
+        from repro.trace import RtrcDirAppender, read_trace
 
-        sink = RtrcAppender(tmp_path / "both.rtrc")
+        sink = RtrcDirAppender(tmp_path / "both")
         db = TraceDatabase(TraceMetadata(), sink=sink)
         db.add_snapshot(Snapshot(0.0, {"a": Position(1, 2)}))
         sink.close()
         assert db.to_trace().columns.snapshot_count == 1
-        assert len(read_trace_rtrc(sink.path)) == 1
+        assert len(read_trace(sink.directory)) == 1
 
 
 class TestStreamingMonitors:
@@ -147,7 +147,7 @@ class TestStreamingMonitors:
 
         from repro.lands import dance_island
         from repro.monitors import Crawler
-        from repro.trace import RtrcAppender, read_trace_rtrc
+        from repro.trace import RtrcDirAppender, read_trace
 
         preset = dance_island()
         # Two identical world realizations: one crawled buffered, one
@@ -156,13 +156,13 @@ class TestStreamingMonitors:
         trace_via_buffer = Crawler(tau=10.0).monitor(world_buffered, 120.0)
 
         world_streamed = preset.build(seed=5, start_time=43200.0)
-        sink = RtrcAppender(tmp_path / "crawl.rtrc")
+        sink = RtrcDirAppender(tmp_path / "crawl")
         crawler = Crawler(tau=10.0, sink=sink)
         from repro.monitors import run_monitors
 
         run_monitors(world_streamed, [crawler], 120.0)
         sink.close()
-        streamed = read_trace_rtrc(sink.path)
+        streamed = read_trace(sink.directory)
         assert np.array_equal(
             streamed.columns.times, trace_via_buffer.columns.times
         )
@@ -177,21 +177,21 @@ class TestStreamingMonitors:
     def test_stream_monitors_yields_between_rounds(self, tmp_path):
         from repro.lands import dance_island
         from repro.monitors import GroundTruthMonitor, stream_monitors
-        from repro.trace import RtrcAppender, read_trace_rtrc
+        from repro.trace import RtrcDirAppender, read_trace
 
         preset = dance_island()
         world = preset.build(seed=2, start_time=43200.0)
-        sink = RtrcAppender(tmp_path / "gt.rtrc")
+        sink = RtrcDirAppender(tmp_path / "gt")
         monitor = GroundTruthMonitor(tau=5.0, sink=sink)
         commits = []
         for now in stream_monitors(world, [monitor], 60.0, 20.0):
             sink.commit()
-            commits.append(read_trace_rtrc(sink.path).columns.snapshot_count)
+            commits.append(read_trace(sink.directory).columns.snapshot_count)
         sink.close()
         assert len(commits) == 3
         # Every yield exposed a strictly larger committed prefix.
         assert commits == sorted(commits) and commits[-1] == 12
-        assert read_trace_rtrc(sink.path).metadata.source == "ground-truth"
+        assert read_trace(sink.directory).metadata.source == "ground-truth"
 
     def test_stream_monitors_validates_rounds(self):
         from repro.lands import dance_island

@@ -2,20 +2,22 @@
 
 The streaming loop's durability story: ``stream_monitors`` hands
 control back between rounds, the caller commits its
-:class:`~repro.trace.RtrcAppender` there, and *only* the commit
-publishes.  These tests pin what happens when a monitor blows up in
-the middle of a round — readers keep seeing exactly the last committed
-round, the crashed process's torn tail is truncated on reopen, and an
-appender reopened after the failure resumes from the last committed
-round to a store bit-for-bit equal to a never-crashed run.
+:class:`~repro.trace.RtrcDirAppender` there, and *only* the commit's
+manifest swap publishes.  These tests pin what happens when a monitor
+blows up in the middle of a round — readers keep seeing exactly the
+last committed round, the round file a crash leaves unpublished is
+deleted on reopen, and an appender reopened after the failure resumes
+from the last committed round to a store bit-for-bit equal to a
+never-crashed run.
 """
 
 import numpy as np
 import pytest
 
+import repro.trace.sharding as sharding_mod
 from repro.lands import dance_island
 from repro.monitors import GroundTruthMonitor, Monitor, stream_monitors
-from repro.trace import RtrcAppender, read_trace_rtrc, write_trace_rtrc
+from repro.trace import RtrcDirAppender, read_trace, write_trace_rtrc
 from tests.unit.core.test_sharded_equivalence import churn_trace
 
 
@@ -49,24 +51,40 @@ class ExplodingMonitor(Monitor):
         raise NotImplementedError
 
 
-def _abandon(appender: RtrcAppender) -> None:
-    """Simulate a process crash after the last row write.
+class _Killed(BaseException):
+    """The crawler process died."""
 
-    Flush the OS-level file buffer and drop the handle *without*
-    committing — exactly the bytes-on-disk state a killed crawler
-    leaves behind: rows beyond the committed header shapes, no header
-    rewrite.
+
+def _abandon(appender: RtrcDirAppender) -> None:
+    """Simulate a process crash with a round pending.
+
+    The pending rows live only in the dead process's memory; the
+    appender is dropped *without* committing.
     """
-    appender._fh.flush()
-    appender._fh.close()
-    appender._fh = None
+    appender._closed = True
+
+
+def _crash_mid_commit(appender: RtrcDirAppender, monkeypatch) -> None:
+    """Simulate a crash between the round-file write and the manifest swap.
+
+    That is the worst state a killed crawler leaves on disk: a complete
+    ``shard-*.rtrc`` round file that no manifest names.
+    """
+    def killed(*args, **kwargs):
+        raise _Killed()
+
+    monkeypatch.setattr(sharding_mod, "write_shard_manifest", killed)
+    with pytest.raises(_Killed):
+        appender.commit()
+    monkeypatch.undo()
+    _abandon(appender)
 
 
 class TestStreamMonitorsMidRoundFailure:
     def test_reader_never_sees_the_torn_round(self, tmp_path):
         world = dance_island().build(seed=7, start_time=43200.0)
-        path = tmp_path / "crawl.rtrc"
-        sink = RtrcAppender(path)
+        path = tmp_path / "crawl"
+        sink = RtrcDirAppender(path)
         recorder = GroundTruthMonitor(tau=5.0, sink=sink)
         # 4 samples per 20 s round; the second monitor explodes on its
         # 6th sample — midway through round 2.
@@ -80,28 +98,28 @@ class TestStreamMonitorsMidRoundFailure:
         assert committed == 4
         assert sink.snapshot_count > committed
         # A concurrent reader sees exactly the committed prefix.
-        assert len(read_trace_rtrc(path)) == committed
+        assert len(read_trace(path)) == committed
         # Both monitors were detached by the generator's cleanup.
         assert bomb.detached
         assert recorder.next_sample_time() == float("inf")
         _abandon(sink)
 
-    def test_crashed_tail_is_truncated_and_crawl_resumes(self, tmp_path):
+    def test_crashed_tail_is_truncated_and_crawl_resumes(self, tmp_path, monkeypatch):
         world = dance_island().build(seed=7, start_time=43200.0)
-        path = tmp_path / "crash.rtrc"
-        sink = RtrcAppender(path)
+        path = tmp_path / "crash"
+        sink = RtrcDirAppender(path)
         recorder = GroundTruthMonitor(tau=5.0, sink=sink)
         bomb = ExplodingMonitor(tau=5.0, explode_at=6)
         with pytest.raises(RuntimeError):
             for _ in stream_monitors(world, [recorder, bomb], 60.0, 20.0):
                 sink.commit()
         last_committed = sink.committed_snapshot_count
-        last_time = float(read_trace_rtrc(path).columns.times[-1])
-        _abandon(sink)
+        last_time = float(read_trace(path).columns.times[-1])
+        _crash_mid_commit(sink, monkeypatch)
 
-        reopened = RtrcAppender(path)
-        # The torn rows beyond the commit point were discarded...
-        assert reopened.recovered_bytes > 0
+        reopened = RtrcDirAppender(path)
+        # The unpublished round file was discarded...
+        assert len(reopened.recovered_files) == 1
         assert reopened.snapshot_count == last_committed
         assert reopened.last_time == last_time
         # ...and the crawl resumes where the last commit left off.
@@ -109,7 +127,7 @@ class TestStreamMonitorsMidRoundFailure:
         for _ in stream_monitors(world, [recorder2], 40.0, 20.0):
             reopened.commit()
         reopened.close()
-        resumed = read_trace_rtrc(path)
+        resumed = read_trace(path)
         assert len(resumed) == last_committed + 8
         assert np.all(np.diff(resumed.columns.times) > 0)
 
@@ -117,7 +135,7 @@ class TestStreamMonitorsMidRoundFailure:
 class TestAppenderMidRoundFailure:
     """The same contract driven directly, pinned bit-for-bit."""
 
-    def test_resumed_store_equals_a_clean_run(self, tmp_path):
+    def test_resumed_store_equals_a_clean_run(self, tmp_path, monkeypatch):
         trace = churn_trace(43)
         cols = trace.columns
         edges = np.linspace(0, cols.snapshot_count, 5).astype(int)
@@ -126,8 +144,8 @@ class TestAppenderMidRoundFailure:
             a, b = cols.snapshot_offsets[index], cols.snapshot_offsets[index + 1]
             return float(cols.times[index]), cols.names_of(index), cols.xyz[a:b]
 
-        path = tmp_path / "resume.rtrc"
-        appender = RtrcAppender(path, trace.metadata)
+        path = tmp_path / "resume"
+        appender = RtrcDirAppender(path, trace.metadata)
         # Rounds 1-2 commit cleanly.
         for index in range(int(edges[2])):
             appender.append_snapshot(*rows(index))
@@ -136,10 +154,10 @@ class TestAppenderMidRoundFailure:
         midway = int((edges[2] + edges[3]) // 2)
         for index in range(int(edges[2]), midway):
             appender.append_snapshot(*rows(index))
-        _abandon(appender)
+        _crash_mid_commit(appender, monkeypatch)
 
-        reopened = RtrcAppender(path)
-        assert reopened.recovered_bytes > 0
+        reopened = RtrcDirAppender(path)
+        assert len(reopened.recovered_files) == 1
         assert reopened.snapshot_count == int(edges[2])
         # Replay round 3 in full, then round 4; commit per round.
         for lo, hi in zip(edges[2:-1], edges[3:]):
@@ -148,8 +166,8 @@ class TestAppenderMidRoundFailure:
             reopened.commit()
         reopened.close()
 
-        resumed = read_trace_rtrc(path)
-        oneshot = read_trace_rtrc(write_trace_rtrc(trace, tmp_path / "clean.rtrc"))
+        resumed = read_trace(path)
+        oneshot = read_trace(write_trace_rtrc(trace, tmp_path / "clean.rtrc"))
         assert np.array_equal(resumed.columns.times, oneshot.columns.times)
         assert np.array_equal(
             resumed.columns.snapshot_offsets, oneshot.columns.snapshot_offsets
@@ -159,8 +177,8 @@ class TestAppenderMidRoundFailure:
         assert resumed.columns.users.names == oneshot.columns.users.names
 
     def test_failed_snapshot_does_not_intern_phantom_users(self, tmp_path):
-        path = tmp_path / "phantom.rtrc"
-        appender = RtrcAppender(path)
+        path = tmp_path / "phantom"
+        appender = RtrcDirAppender(path)
         appender.append_snapshot(0.0, ["a"], [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="twice"):
             appender.append_snapshot(
@@ -168,4 +186,4 @@ class TestAppenderMidRoundFailure:
             )
         appender.commit()
         appender.close()
-        assert read_trace_rtrc(path).columns.users.names == ["a"]
+        assert read_trace(path).columns.users.names == ["a"]

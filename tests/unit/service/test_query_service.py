@@ -373,19 +373,14 @@ class TestIngest:
             assert status == 405
 
     def test_single_file_store_rejects_ingest(self, tmp_path, trace):
+        # A single .rtrc file is write-once: it is refused as a store
+        # at all, with the route to a shard directory.
         from repro.trace import write_trace_rtrc
 
         path = tmp_path / "flat.rtrc"
         write_trace_rtrc(trace, path)
-        with QueryService({"flat": path}, ingest=True) as service:
-            host, port = service.start()
-            status, _, body = fetch(
-                f"http://{host}:{port}/v1/flat/rounds",
-                method="POST",
-                body=round_body([1e9], [["a"]], [[[0.0, 0, 0]]]),
-            )
-            assert status == 405
-            assert "shard-directory" in json.loads(body)["error"]
+        with pytest.raises(ValueError, match="slmob shard-export"):
+            QueryService({"flat": path}, ingest=True)
 
     def test_invalid_round_documents_400(self, tmp_path):
         with QueryService({"crawl": tmp_path / "fresh"}, ingest=True) as service:
@@ -557,10 +552,10 @@ class TestConcurrency:
 
 class TestListing:
     def test_listing_names_every_store(self, store, tmp_path, trace):
-        from repro.trace import write_trace_rtrc
+        from repro.trace import to_rtrc_dir
 
-        flat = tmp_path / "flat.rtrc"
-        write_trace_rtrc(trace, flat)
+        flat = tmp_path / "flat"
+        to_rtrc_dir(trace, 2, flat)
         with QueryService({"crawl": store, "flat": flat}) as service:
             host, port = service.start()
             status, _, body = fetch(f"http://{host}:{port}/v1")
@@ -568,8 +563,9 @@ class TestListing:
             doc = json.loads(body)
             assert sorted(doc["stores"]) == ["crawl", "flat"]
             assert doc["stores"]["crawl"]["shard_dir"] is True
-            assert doc["stores"]["flat"]["shard_dir"] is False
+            assert doc["stores"]["flat"]["shard_dir"] is True
             assert doc["stores"]["flat"]["snapshots"] == len(trace)
+            assert doc["stores"]["flat"]["etag"] == '"g0-2"'
 
     def test_missing_store_path_refused_without_ingest(self, tmp_path):
         with pytest.raises(ValueError, match="no such store"):

@@ -1,9 +1,10 @@
 """Compaction must be invisible to readers: same bytes, fewer files.
 
 ``compact_shard_dir`` folds many small append-round shards into a
-balanced split, and ``compact_rtrc_store`` trims the capacity slack of
-an appendable single file; in both cases the loaded store — columns
-*and* user table — must be bit-for-bit what it was before.
+balanced split, and exporting a streamed directory as one ``.rtrc``
+file (the ``slmob convert`` route) must give the one-shot file's
+bytes; in both cases the loaded store — columns *and* user table —
+must be bit-for-bit what it was before.
 """
 
 import gzip
@@ -13,17 +14,16 @@ import numpy as np
 import pytest
 
 from repro.trace import (
-    RtrcAppender,
     RtrcDirAppender,
     Trace,
     TraceFormatError,
     TraceMetadata,
-    compact_rtrc_store,
     compact_shard_dir,
     concat_shards,
     list_rtrc_dir,
     read_rtrc_dir,
     read_shard_manifest,
+    read_trace,
     read_trace_rtrc,
     to_rtrc_dir,
     write_trace_rtrc,
@@ -236,38 +236,14 @@ class TestStreamingCompactor:
             assert (streamed / name).read_bytes() == (oracle / name).read_bytes()
 
 
-class TestSingleFileCompaction:
-    def test_slack_trimmed_and_bytes_identical(self, tmp_path, trace):
-        path = tmp_path / "grown.rtrc"
-        cols = trace.columns
-        with RtrcAppender(path, trace.metadata) as appender:
-            for index in range(cols.snapshot_count):
-                a, b = cols.snapshot_offsets[index], cols.snapshot_offsets[index + 1]
-                appender.append_snapshot(
-                    float(cols.times[index]), cols.names_of(index), cols.xyz[a:b]
-                )
-                appender.commit()
-        before = path.stat().st_size
-        _, reclaimed = compact_rtrc_store(path)
-        assert reclaimed > 0
-        assert path.stat().st_size == before - reclaimed
-        loaded = read_trace_rtrc(path)
-        _assert_stores_equal(trace, loaded)
-        # The compacted file is byte-identical to a one-shot write.
+class TestSingleFileExport:
+    def test_streamed_dir_exports_bytes_identical(self, tmp_path, trace):
+        # One round per snapshot: the most fragmented directory a
+        # crawl can leave.  Its single-file export equals a one-shot
+        # write byte for byte.
+        root = tmp_path / "grown"
+        _stream_dir(root, trace, len(trace))
+        exported = write_trace_rtrc(read_trace(root), tmp_path / "export.rtrc")
+        _assert_stores_equal(trace, read_trace_rtrc(exported))
         oneshot = write_trace_rtrc(trace, tmp_path / "oneshot.rtrc")
-        assert path.read_bytes() == oneshot.read_bytes()
-
-    def test_compacted_file_reopens_for_append(self, tmp_path, trace):
-        path = tmp_path / "reopen.rtrc"
-        write_trace_rtrc(trace, path)
-        compact_rtrc_store(path)
-        with RtrcAppender(path) as appender:
-            appender.append_snapshot(
-                trace.end_time + 5.0, ["late"], [[0.0, 0.0, 0.0]]
-            )
-        assert len(read_trace_rtrc(path)) == len(trace) + 1
-
-    def test_gzip_rejected(self, tmp_path, trace):
-        path = write_trace_rtrc(trace, tmp_path / "t.rtrc.gz")
-        with pytest.raises(ValueError, match="gzip"):
-            compact_rtrc_store(path)
+        assert exported.read_bytes() == oneshot.read_bytes()

@@ -1,13 +1,10 @@
-"""The storage lifecycle: policy, slack, tiering, retention, one-writer locks.
+"""The storage lifecycle: policy, slack, tiering and retention.
 
 ``CompactionPolicy`` makes a long-running :class:`RtrcDirAppender`
 self-maintaining — compaction, tiering and retention fire between
 commits and the appender re-adopts each swapped manifest.  These tests
-pin the policy semantics, the age thresholds, the generation bumps
-followers key on, and the PR-5 footgun fix: ``compact_rtrc_store``
-against a store a live ``RtrcAppender`` holds open now raises a typed
-:class:`StoreInUseError` instead of silently orphaning the appender's
-inode.
+pin the policy semantics, the age thresholds and the generation bumps
+followers key on.
 """
 
 import numpy as np
@@ -15,11 +12,8 @@ import pytest
 
 from repro.trace import (
     CompactionPolicy,
-    RtrcAppender,
     RtrcDirAppender,
     StoreChangedError,
-    StoreInUseError,
-    compact_rtrc_store,
     compact_shard_dir,
     concat_shards,
     list_rtrc_dir,
@@ -29,9 +23,7 @@ from repro.trace import (
     shard_dir_generation,
     shard_dir_slack,
     tier_shard_dir,
-    write_trace_rtrc,
 )
-from repro.trace.storage import fcntl
 from tests.unit.core.test_sharded_equivalence import churn_trace
 from tests.unit.trace.test_compaction import _assert_stores_equal, _stream_dir
 
@@ -260,25 +252,3 @@ class TestRetention:
             with pytest.raises(StoreChangedError, match="re-open"):
                 appender.commit()
             appender._pending_times = []  # allow close() to not re-raise
-
-
-@pytest.mark.skipif(fcntl is None, reason="flock needs fcntl (POSIX only)")
-class TestStoreInUse:
-    def test_compact_under_live_appender_raises(self, tmp_path, trace):
-        path = write_trace_rtrc(trace, tmp_path / "live.rtrc")
-        with RtrcAppender(path) as appender:
-            appender.append_snapshot(
-                trace.end_time + 5.0, ["late"], [[0.0, 0.0, 0.0]]
-            )
-            with pytest.raises(StoreInUseError, match="close the appender"):
-                compact_rtrc_store(path)
-            # The appender is unharmed: its commit still lands.
-            appender.commit()
-        compact_rtrc_store(path)  # fine once the appender closed
-
-    def test_second_appender_on_same_store_raises(self, tmp_path, trace):
-        path = write_trace_rtrc(trace, tmp_path / "twice.rtrc")
-        with RtrcAppender(path):
-            with pytest.raises(StoreInUseError, match="one writer"):
-                RtrcAppender(path)
-        RtrcAppender(path).close()  # released on close

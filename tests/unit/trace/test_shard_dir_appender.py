@@ -97,6 +97,41 @@ class TestCommit:
         assert manifest is not None
         assert manifest["files"] == []
 
+    def test_empty_snapshots_stream(self, tmp_path):
+        root = tmp_path / "e"
+        with RtrcDirAppender(root) as appender:
+            appender.append_snapshot(0.0, [], np.empty((0, 3)))
+            appender.append_snapshot(10.0, ["solo"], [[1.0, 2.0, 3.0]])
+            appender.commit()
+            appender.append_snapshot(20.0, [], np.empty((0, 3)))
+        loaded = concat_shards(read_rtrc_dir(root))
+        assert loaded.concurrency() == [0, 1, 0]
+
+    def test_concurrent_reader_sees_consistent_prefix(self, tmp_path, trace):
+        root = tmp_path / "shared"
+        half = len(trace) // 2
+        appender = RtrcDirAppender(root, trace.metadata)
+        _stream(appender, Trace.from_columns(
+            trace.columns.slice_snapshots(0, half), trace.metadata
+        ), 1)
+        reader = concat_shards(read_rtrc_dir(root))  # holds live memmaps
+        frozen_times = reader.columns.times.copy()
+        frozen_xyz = reader.columns.xyz.copy()
+
+        # Keep committing rounds under the reader.
+        _stream(appender, Trace.from_columns(
+            trace.columns.slice_snapshots(half, len(trace)), trace.metadata
+        ), 3)
+        appender.close()
+
+        assert len(reader) == half
+        assert np.array_equal(reader.columns.times, frozen_times)
+        assert np.array_equal(reader.columns.xyz, frozen_xyz)
+        grown = concat_shards(read_rtrc_dir(root)).columns.slice_snapshots(0, half)
+        assert np.array_equal(grown.times, frozen_times)
+        assert np.array_equal(grown.user_ids, reader.columns.user_ids)
+        assert np.array_equal(grown.xyz, frozen_xyz)
+
     def test_pending_snapshots_survive_only_via_commit(self, tmp_path, trace):
         root = tmp_path / "pending"
         appender = RtrcDirAppender(root, trace.metadata)
@@ -106,6 +141,69 @@ class TestCommit:
         assert list_rtrc_dir(root) == []
         appender.close()  # close commits the pending round
         assert read_shard_manifest(root)["snapshot_counts"] == [1]
+
+
+    @pytest.mark.parametrize("rounds", (1, 3, 7))
+    def test_streamed_rounds_match_one_shot(self, tmp_path, trace, rounds):
+        # The manifest's bookkeeping describes each round file exactly.
+        root = tmp_path / f"rounds-{rounds}"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            _stream(appender, trace, rounds)
+        manifest = read_shard_manifest(root)
+        edges = np.linspace(0, len(trace), rounds + 1).astype(int)
+        assert manifest["snapshot_counts"] == np.diff(edges).tolist()
+        times = trace.columns.times
+        assert manifest["time_ranges"] == [
+            [float(times[lo]), float(times[hi - 1])]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        loaded = concat_shards(read_rtrc_dir(root))
+        assert np.array_equal(loaded.columns.user_ids, trace.columns.user_ids)
+        assert np.array_equal(loaded.columns.xyz, trace.columns.xyz)
+
+    def test_in_memory_load_matches_mmap(self, tmp_path, trace):
+        root = tmp_path / "modes"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            _stream(appender, trace, 3)
+        mapped = concat_shards(read_rtrc_dir(root, mmap=True)).columns
+        buffered = concat_shards(read_rtrc_dir(root, mmap=False)).columns
+        assert np.array_equal(mapped.times, buffered.times)
+        assert np.array_equal(mapped.snapshot_offsets, buffered.snapshot_offsets)
+        assert np.array_equal(mapped.user_ids, buffered.user_ids)
+        assert np.array_equal(mapped.xyz, buffered.xyz)
+        assert mapped.users.names == buffered.users.names
+
+    def test_commit_returns_the_new_shard_path(self, tmp_path):
+        root = tmp_path / "returned"
+        with RtrcDirAppender(root) as appender:
+            appender.append_snapshot(0.0, ["a"], [[0.0, 0.0, 0.0]])
+            first = appender.commit()
+            appender.append_snapshot(10.0, ["b"], [[1.0, 0.0, 0.0]])
+            second = appender.commit()
+        assert [first.name, second.name] == read_shard_manifest(root)["files"]
+        assert read_trace_rtrc(second).columns.times.tolist() == [10.0]
+
+    def test_uncommitted_appends_are_invisible(self, tmp_path):
+        root = tmp_path / "invisible"
+        appender = RtrcDirAppender(root)
+        appender.append_snapshot(0.0, ["a"], [[0.0, 0.0, 0.0]])
+        appender.commit()
+        appender.append_snapshot(10.0, ["a", "b"], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        loaded = concat_shards(read_rtrc_dir(root))
+        assert loaded.columns.times.tolist() == [0.0]
+        assert loaded.columns.users.names == ["a"]
+        appender.commit()
+        assert concat_shards(read_rtrc_dir(root)).columns.times.tolist() == [0.0, 10.0]
+        appender.close()
+
+    def test_no_temp_litter_after_commits(self, tmp_path, trace):
+        root = tmp_path / "tidy"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            _stream(appender, trace, 5)
+        assert not list(root.glob("*.tmp"))
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            list_rtrc_dir(root) + ["manifest.json"]
+        )
 
 
 class TestValidation:
@@ -124,6 +222,38 @@ class TestValidation:
                 appender.append_snapshot(
                     0.0, ["a", "a"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
                 )
+
+    def test_non_increasing_time_rejected(self, tmp_path):
+        # Within one pending round, too: equal and earlier times.
+        root = tmp_path / "order-pending"
+        with RtrcDirAppender(root) as appender:
+            appender.append_snapshot(5.0, ["a"], [[0.0, 0.0, 0.0]])
+            for t in (5.0, 4.0):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    appender.append_snapshot(t, ["a"], [[0.0, 0.0, 0.0]])
+            assert appender.snapshot_count == 1
+
+    def test_rejected_snapshot_does_not_pollute_the_user_table(self, tmp_path):
+        root = tmp_path / "clean-table"
+        with RtrcDirAppender(root) as appender:
+            appender.append_snapshot(0.0, ["a"], [[0.0, 0.0, 0.0]])
+            with pytest.raises(ValueError, match="twice"):
+                appender.append_snapshot(
+                    1.0, ["ghost", "ghost"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+                )
+            with pytest.raises(ValueError, match="strictly increasing"):
+                appender.append_snapshot(0.0, ["phantom"], [[0.0, 0.0, 0.0]])
+            assert appender.user_names == ["a"]
+            appender.append_snapshot(2.0, ["b"], [[0.0, 0.0, 0.0]])
+        assert concat_shards(read_rtrc_dir(root)).columns.users.names == ["a", "b"]
+
+    def test_foreign_file_rejected(self, tmp_path, trace):
+        # A one-shot trace file is not a directory to grow.
+        path = tmp_path / "one-shot.rtrc"
+        path.write_bytes(b"not a directory")
+        with pytest.raises(FileExistsError):
+            RtrcDirAppender(path)
+        assert path.read_bytes() == b"not a directory"
 
     def test_closed_appender_rejects_appends(self, tmp_path):
         appender = RtrcDirAppender(tmp_path / "closed")
@@ -206,6 +336,33 @@ class TestReopen:
         assert appender.shard_count == 2
         appender.close()
 
+    def test_recovered_clean_store_reports_nothing(self, tmp_path, trace):
+        root = tmp_path / "clean"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            _stream(appender, trace, 2)
+        appender = RtrcDirAppender(root)
+        assert appender.recovered_files == []
+        assert appender.shard_count == 2
+        appender.close()
+
+    def test_truncation_below_committed_data_is_corruption(self, tmp_path, trace):
+        # A committed round file cut short is damage, not crash debris:
+        # reopening must refuse it rather than drop committed rounds.
+        root = tmp_path / "cut"
+        with RtrcDirAppender(root, trace.metadata) as appender:
+            _stream(appender, trace, 3)
+        victim = root / "shard-00001.rtrc"
+        size = victim.stat().st_size
+        with open(victim, "r+b") as handle:
+            handle.truncate(size // 2)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            RtrcDirAppender(root)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            read_rtrc_dir(root)
+        assert read_shard_manifest(root)["files"] == [
+            f"shard-{i:05d}.rtrc" for i in range(3)
+        ]
+
     def test_reopen_a_to_rtrc_dir_export_appends_after_it(self, tmp_path, trace):
         root = tmp_path / "export"
         to_rtrc_dir(trace, 3, root)
@@ -238,7 +395,7 @@ class TestReopen:
 
 class TestFsync:
     def test_fsync_commit_round_trips(self, tmp_path, trace):
-        # Durability knob parity with RtrcAppender: the fsynced path
+        # The durability knob: the fsynced path
         # must publish the same bytes (power-loss ordering itself is
         # not observable in a test).
         root = tmp_path / "durable"

@@ -1,5 +1,8 @@
 """Unit tests for the binary columnar ``.rtrc`` trace format."""
 
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +287,58 @@ class TestCorruption:
         valid.write_bytes(b"garbage that is definitely not rtrc")
         with pytest.raises(TraceFormatError):
             read_trace(valid)
+
+
+class TestAppendableLayoutCompat:
+    """Stores written by the retired appendable single-file writer still load.
+
+    ``data/appendable_v1.rtrc`` was written snapshot by snapshot by
+    that writer: three committed rounds (an empty snapshot, users
+    joining and leaving) with capacity left for 16 snapshots and 64
+    rows, so its header is padded with spaces, carries an ``"append"``
+    capacity record, and its sections sit at capacity offsets with
+    unused bytes between them.  The digest below was taken from the
+    writer's own load of the file.
+    """
+
+    PATH = Path(__file__).parent / "data" / "appendable_v1.rtrc"
+    COLUMN_DIGEST = "fc507007842e75ce49495db9b7304314fbd1bf16cd158a9f31e209d196a8d128"
+    METADATA = TraceMetadata(
+        land_name="Appendable Compat",
+        width=256.0,
+        height=256.0,
+        tau=10.0,
+        source="crawler",
+        notes="written by RtrcAppender",
+    )
+
+    @staticmethod
+    def _digest(store) -> str:
+        h = hashlib.sha256()
+        for arr in (store.times, store.snapshot_offsets, store.user_ids, store.xyz):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(json.dumps(list(store.users.names)).encode())
+        return h.hexdigest()
+
+    def test_fixture_has_the_appendable_layout(self):
+        raw = self.PATH.read_bytes()
+        _, _, _, header_length = _PREAMBLE.unpack_from(raw)
+        header_text = raw[_PREAMBLE.size:_PREAMBLE.size + header_length].decode()
+        assert header_text.endswith(" ")  # padded reserve
+        header = json.loads(header_text)
+        assert header["append"] == {
+            "snapshot_capacity": 16, "observation_capacity": 64,
+        }
+        offsets = [header["sections"][name]["offset"] for name in
+                   ("times", "snapshot_offsets", "user_ids", "xyz")]
+        # Sections sit at capacity offsets, not packed after each other.
+        assert offsets == [0, 128, 320, 832]
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_loads_bit_for_bit(self, mmap):
+        store, metadata = read_store_rtrc(self.PATH, mmap=mmap)
+        assert self._digest(store) == self.COLUMN_DIGEST
+        assert metadata == self.METADATA
+        assert store.users.names == ["alice", "bob", "carol", "dave", "erin"]
+        assert store.times.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
+        assert store.snapshot_offsets.tolist() == [0, 2, 5, 5, 7, 10]
